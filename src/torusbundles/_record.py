@@ -1,0 +1,50 @@
+"""Immutable value records on one shared base, with no methods generated per class."""
+
+from __future__ import annotations
+
+
+class Record:
+    """Immutable record whose fields are its class annotations, in order.
+
+    A class attribute beside an annotation is that field's default.  Fields are
+    set with ``object.__setattr__``: writing ``__dict__`` slows later reads.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields += tuple(cls.__annotations__)
+        cls._defaults = {f: getattr(cls, f) for f in cls._fields if hasattr(cls, f)}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        try:
+            args += tuple([kwargs.pop(f) if f in kwargs else self._defaults[f] for f in fields[len(args) :]])
+        except KeyError as exc:
+            raise TypeError(f"{type(self).__name__}() missing argument {exc}") from None
+        if kwargs or len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {fields}; got extra or unknown arguments")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self) -> None:
+        """Validate the fields after construction; normalise one with ``object.__setattr__``."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple[object, ...]:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"

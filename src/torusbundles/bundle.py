@@ -12,10 +12,10 @@ A*x - x.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import gcd
 from typing import Any, Sequence
 
+from ._record import Record
 from .exactla import IntMatrix, integer_kernel, stack_columns, stack_rows
 
 
@@ -27,8 +27,7 @@ class ValidationError(ValueError):
     """Raised for semantically invalid bundle data (determinant, arity, genus)."""
 
 
-@dataclass(frozen=True)
-class SL2Z:
+class SL2Z(Record):
     """2x2 integer matrix of determinant 1."""
 
     a: int
@@ -36,14 +35,14 @@ class SL2Z:
     c: int
     d: int
 
-    def __post_init__(self):
-        for x in (self.a, self.b, self.c, self.d):
+    def __init__(self, a: int, b: int, c: int, d: int):
+        # one __dict__ update, not Record's constructor: classifying a genus-64 bundle builds 50,000 of these
+        for x in (a, b, c, d):
             if isinstance(x, bool) or not isinstance(x, int):
                 raise ValidationError(f"matrix entry {x!r} is not an integer")
-        if self.det != 1:
-            raise ValidationError(
-                f"matrix [[{self.a},{self.b}],[{self.c},{self.d}]] has determinant {self.det}, expected 1"
-            )
+        if a * d - b * c != 1:
+            raise ValidationError(f"matrix [[{a},{b}],[{c},{d}]] has determinant {a * d - b * c}, expected 1")
+        self.__dict__.update(a=a, b=b, c=c, d=d)
 
     @classmethod
     def identity(cls) -> "SL2Z":
@@ -89,14 +88,13 @@ class SL2Z:
         return [[self.a, self.b], [self.c, self.d]]
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """Saturated sublattice of Z^2 given by a primitive basis."""
 
     rank: int
     basis: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.rank != len(self.basis):
             raise ValueError("rank disagrees with basis size")
         for v in self.basis:
@@ -124,15 +122,14 @@ class Lattice:
         return a1 * b2 - a2 * b1 == 0
 
 
-@dataclass(frozen=True)
-class TorusBundle:
+class TorusBundle(Record):
     """Orientable torus bundle over a genus-g surface, g >= 2."""
 
     genus: int
     monodromy: tuple[SL2Z, ...]
     euler: tuple[int, int]
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if isinstance(self.genus, bool) or not isinstance(self.genus, int):
             raise ValidationError(f"genus {self.genus!r} is not an integer")
         if self.genus < 2:
@@ -236,7 +233,7 @@ def parse_bundle(text: str) -> TorusBundle:
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ParseError(f"invalid bundle document: {exc}") from None
     return bundle_from_dict(obj)
 

@@ -19,9 +19,9 @@ which vanishes exactly on classes pulled back from the surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record
 from .bundle import Lattice, TorusBundle, fixed_sublattice
 from .exactla import IntMatrix, integer_kernel
 from .homology import betti, h1_total_space
@@ -32,14 +32,12 @@ class InternalInconsistencyError(RuntimeError):
     """An oracle disagreed with the rule-based verdict: an implementation bug, never a valid outcome."""
 
 
-@dataclass(frozen=True)
-class RationaleEntry:
+class RationaleEntry(Record):
     rule: str
     statement: str
 
 
-@dataclass(frozen=True)
-class CrossChecks:
+class CrossChecks(Record):
     """Agreement flags for the two verdict oracles.
 
     The spectral flag is None when the monodromy tuple violates the surface
@@ -54,8 +52,7 @@ class CrossChecks:
         return self.betti_oracle and self.spectral_oracle is not False
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     b1: int
     b2: int
     has_circle_action: bool
@@ -65,16 +62,14 @@ class ClassificationReport:
     cross_checks: CrossChecks
 
 
-@dataclass(frozen=True)
-class ProductH1Class:
+class ProductH1Class(Record):
     """Degree-1 class on (surface x circle): circle coefficient plus 2g base coefficients."""
 
     circle_coeff: int
     base_coeffs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ProductH2Class:
+class ProductH2Class(Record):
     """Degree-2 class on (surface x circle): volume coefficient plus 2g torus-class coefficients."""
 
     volume_coeff: int

@@ -59,9 +59,12 @@ def _parse_range(text: str, flag: str) -> range:
 def _load_bundle(path: str) -> TorusBundle:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliInputError(f"cannot read bundle file {path}: {exc}") from None
-    return parse_bundle(text)
+    try:
+        return parse_bundle(text)
+    except ParseError as exc:
+        raise _CliInputError(f"bundle file {path}: {exc}") from None
 
 
 def _emit(payload: dict[str, Any], lines: list[str], fmt: str) -> None:

@@ -8,9 +8,10 @@ integers; nothing in this package touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
+
+from ._record import Record
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -133,8 +134,7 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self._entries]!r}, cols={self._cols})"
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """Finitely generated abelian group: free rank plus invariant-factor chain.
 
     Factors satisfy d1 | d2 | ... with every di >= 2; rank-contributing zeros
@@ -144,7 +144,7 @@ class AbelianGroup:
     free_rank: int
     invariant_factors: tuple[int, ...] = ()
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         factors = tuple(self.invariant_factors)

@@ -22,16 +22,15 @@ coefficients.  None of this depends on the Euler class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record
 from .bundle import SL2Z, TorusBundle
 from .exactla import IntMatrix, rank
 from .homology import betti
 
 
-@dataclass(frozen=True)
-class E2Ranks:
+class E2Ranks(Record):
     """Free ranks of the E2 entries feeding the fiber-class criterion."""
 
     rank_e00: int

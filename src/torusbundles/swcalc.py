@@ -25,11 +25,11 @@ with m odd no closed form is offered and the coset route is the contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 from typing import Iterable
 
+from ._record import Record
 from .exactla import binomial
 
 
@@ -37,14 +37,13 @@ class UnsupportedParityError(ValueError):
     """Raised when the closed form is requested for even n with odd m."""
 
 
-@dataclass(frozen=True)
-class ResidueSet:
+class ResidueSet(Record):
     """Subgroup of Z_modulus, stored as the sorted tuple of member residues."""
 
     modulus: int
     members: tuple[int, ...]
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
         members = tuple(sorted(set(self.members)))
@@ -67,14 +66,13 @@ class ResidueSet:
         return x % self.modulus in self.members
 
 
-@dataclass(frozen=True)
-class SWPolynomial:
+class SWPolynomial(Record):
     """Integer coefficients indexed by residues mod |n|."""
 
     modulus: int
     coefficients: tuple[int, ...]
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
         coeffs = tuple(self.coefficients)
@@ -273,8 +271,7 @@ def sw4_zero_nonpullback(g: int, m: int, n: int) -> int:
     return sign * sum(_alternating_binomial_sum(g, h, half) for h in range(0, half, d // 2))
 
 
-@dataclass(frozen=True)
-class SweepCounterexample:
+class SweepCounterexample(Record):
     g: int
     m: int
     n: int
@@ -283,12 +280,11 @@ class SweepCounterexample:
     detail: str
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Record):
     cases: int
     skipped: int
     all_even: bool
-    counterexamples: tuple[SweepCounterexample, ...] = field(default_factory=tuple)
+    counterexamples: tuple[SweepCounterexample, ...] = ()
 
 
 def parity_sweep(

@@ -88,6 +88,10 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_bundle("{genus: 2")
 
+    def test_deeply_nested_json_is_parse_error(self):
+        with pytest.raises(ParseError, match="invalid bundle document"):
+            parse_bundle("[" * 100_000 + "]" * 100_000)
+
     def test_non_integer_entry_is_parse_error(self):
         text = json.dumps(
             {"genus": 2, "monodromy": [[[1.5, 0], [0, 1]]] + [[[1, 0], [0, 1]]] * 3, "euler": [0, 0]}

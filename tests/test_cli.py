@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import torusbundles
 from torusbundles.cli import run
 
 TRIVIAL_DOC = {
@@ -135,8 +140,41 @@ class TestInputErrors:
         assert run(["classify", str(path)]) == 1
         assert "monodromy[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["classify", "homology", "spectral"])
+    def test_deeply_nested_json(self, command, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert run([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(path) in err
+
+    @pytest.mark.parametrize("command", ["classify", "homology", "spectral"])
+    def test_non_utf8_file(self, command, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"genus": 2, "note": "\xe9"}')
+        assert run([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(path) in err
+
     def test_unknown_flag(self, capsys):
         assert run(["swpoly", "--genus", "2", "--n", "3", "--frobnicate"]) == 1
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """Importing the CLI pulls in neither module; building the records with them dominated import time."""
+    code = "import sys, torusbundles.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    src = str(Path(torusbundles.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
