@@ -78,9 +78,6 @@ class SL2Z(Record):
     def conjugate(self, p: "SL2Z") -> "SL2Z":
         return p * self * p.inverse()
 
-    def to_matrix(self) -> IntMatrix:
-        return IntMatrix([[self.a, self.b], [self.c, self.d]])
-
     def minus_identity(self) -> IntMatrix:
         return IntMatrix([[self.a - 1, self.b], [self.c, self.d - 1]])
 

@@ -25,7 +25,7 @@ from ._record import Record
 from .bundle import Lattice, TorusBundle, fixed_sublattice
 from .exactla import IntMatrix, integer_kernel
 from .homology import betti, h1_total_space
-from .spectral import fiber_class_via_spectral
+from .spectral import e2_ranks
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -90,67 +90,51 @@ def fiber_class_nonzero(b: TorusBundle) -> bool:
     return _fiber_class_from_fixed(b, fixed_sublattice(b))
 
 
+_STATEMENTS = {
+    "trivial-bundle": "trivial monodromy and zero Euler class: the product bundle, fiber class nonzero",
+    "principal-both-euler-components-nonzero": (
+        "principal bundle with m*n != 0: the degree-zero invariant is even, "
+        "so no structure of unit invariant exists and the bundle is not symplectic"
+    ),
+    "principal-one-euler-component-zero": (
+        "nontrivial principal bundle with Euler class on an axis: the quotient "
+        "circle bundle cannot fiber over the circle, so the bundle is not symplectic"
+    ),
+    "no-fiber-circle-action": (
+        "no nonzero vector is fixed by all monodromy matrices: the rank of E11 is "
+        "Euler-class independent and forces a nonzero fiber class"
+    ),
+    "euler-multiple-of-orbit-class": (
+        "circle action with orbit class z = {z}; the Euler class {euler} is an "
+        "integer multiple of z, so the fiber class survives"
+    ),
+    "euler-not-multiple-of-orbit-class": (
+        "circle action with orbit class z = {z}; the Euler class {euler} is not a "
+        "multiple of z, the first Betti number drops and the fiber class dies"
+    ),
+    "symplectic-iff-fiber-class": (
+        "a torus bundle over a genus >= 2 surface is symplectic exactly when the fiber "
+        "class is nonzero in real second homology"
+    ),
+}
+
+
 def _rationale(b: TorusBundle, fixed: Lattice, verdict: bool) -> tuple[RationaleEntry, ...]:
-    entries = []
-    if fixed.rank == 2:
-        m, n = b.euler
-        if (m, n) == (0, 0):
-            entries.append(
-                RationaleEntry(
-                    "trivial-bundle",
-                    "trivial monodromy and zero Euler class: the product bundle, fiber class nonzero",
-                )
-            )
-        elif m != 0 and n != 0:
-            entries.append(
-                RationaleEntry(
-                    "principal-both-euler-components-nonzero",
-                    "principal bundle with m*n != 0: the degree-zero invariant is even, "
-                    "so no structure of unit invariant exists and the bundle is not symplectic",
-                )
-            )
-        else:
-            entries.append(
-                RationaleEntry(
-                    "principal-one-euler-component-zero",
-                    "nontrivial principal bundle with Euler class on an axis: the quotient "
-                    "circle bundle cannot fiber over the circle, so the bundle is not symplectic",
-                )
-            )
-    elif fixed.rank == 0:
-        entries.append(
-            RationaleEntry(
-                "no-fiber-circle-action",
-                "no nonzero vector is fixed by all monodromy matrices: the rank of E11 is "
-                "Euler-class independent and forces a nonzero fiber class",
-            )
-        )
+    if fixed.rank == 0:
+        rule = "no-fiber-circle-action"
+    elif fixed.rank == 1:
+        rule = "euler-multiple-of-orbit-class" if verdict else "euler-not-multiple-of-orbit-class"
+    elif b.is_flat:
+        rule = "trivial-bundle"
+    elif 0 not in b.euler:
+        rule = "principal-both-euler-components-nonzero"
     else:
-        z = fixed.basis[0]
-        if verdict:
-            entries.append(
-                RationaleEntry(
-                    "euler-multiple-of-orbit-class",
-                    f"circle action with orbit class z = {z}; the Euler class {b.euler} is an "
-                    "integer multiple of z, so the fiber class survives",
-                )
-            )
-        else:
-            entries.append(
-                RationaleEntry(
-                    "euler-not-multiple-of-orbit-class",
-                    f"circle action with orbit class z = {z}; the Euler class {b.euler} is not a "
-                    "multiple of z, the first Betti number drops and the fiber class dies",
-                )
-            )
-    entries.append(
-        RationaleEntry(
-            "symplectic-iff-fiber-class",
-            "a torus bundle over a genus >= 2 surface is symplectic exactly when the fiber "
-            "class is nonzero in real second homology",
-        )
+        rule = "principal-one-euler-component-zero"
+    z = fixed.basis[0] if fixed.basis else None
+    return tuple(
+        RationaleEntry(r, _STATEMENTS[r].format(z=z, euler=b.euler))
+        for r in (rule, "symplectic-iff-fiber-class")
     )
-    return tuple(entries)
 
 
 def is_symplectic(b: TorusBundle) -> ClassificationReport:
@@ -163,24 +147,14 @@ def is_symplectic(b: TorusBundle) -> ClassificationReport:
     verdict = _fiber_class_from_fixed(b, fixed)
     b1, b2 = betti(b)
 
-    twin_b1 = h1_total_space(b.flat_twin()).free_rank
-    betti_oracle_value = twin_b1 == b1
-    betti_ok = betti_oracle_value == verdict
-    if not betti_ok:
-        raise InternalInconsistencyError(
-            f"betti oracle ({betti_oracle_value}) disagrees with rule verdict ({verdict}) on {b.to_dict()}"
-        )
-
-    spectral_ok: bool | None
-    if b.surface_relation_holds():
-        spectral_value = fiber_class_via_spectral(b)
-        spectral_ok = spectral_value == verdict
-        if not spectral_ok:
+    oracles = {"betti": h1_total_space(b.flat_twin()).free_rank == b1}
+    if b.surface_relation_holds():  # the spectral sequence needs a fibration that realizes the tuple
+        oracles["spectral"] = e2_ranks(b.genus, b.monodromy).fiber_class_nonzero(b2)
+    for name, value in oracles.items():
+        if value != verdict:
             raise InternalInconsistencyError(
-                f"spectral oracle ({spectral_value}) disagrees with rule verdict ({verdict}) on {b.to_dict()}"
+                f"{name} oracle ({value}) disagrees with rule verdict ({verdict}) on {b.to_dict()}"
             )
-    else:
-        spectral_ok = None
 
     return ClassificationReport(
         b1=b1,
@@ -189,7 +163,8 @@ def is_symplectic(b: TorusBundle) -> ClassificationReport:
         fiber_class_nonzero=verdict,
         symplectic=verdict,
         rationale=_rationale(b, fixed, verdict),
-        cross_checks=CrossChecks(betti_oracle=betti_ok, spectral_oracle=spectral_ok),
+        # every oracle that ran agreed, or the loop above raised
+        cross_checks=CrossChecks(betti_oracle=True, spectral_oracle=True if "spectral" in oracles else None),
     )
 
 

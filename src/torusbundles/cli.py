@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: classify, homology, spectral (bundle-file input), swpoly, sw0
-(inline parameters), verify-parity (grid sweep).  Output is deterministic
-text by default or JSON with --format=json.  Exit codes: 0 success, 1 input
-error, 2 internal cross-check inconsistency.
+(inline parameters), verify-parity (grid sweep).  Each subcommand builds one
+payload: --format=json prints it, and the default deterministic text is
+rendered from it alone (the verify-parity header also echoes the raw --g and
+--mn strings).  Exit codes: 0 success, 1 input error, 2 internal cross-check
+inconsistency, which for sw0 and verify-parity is read off the payload.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
+from ._record import Record
 from .bundle import ParseError, TorusBundle, ValidationError, parse_bundle
 from .classify import InternalInconsistencyError, is_symplectic
-from .homology import h1_total_space
-from .spectral import e2_ranks, fiber_class_via_spectral
+from .homology import betti, h1_total_space
+from .spectral import e2_ranks
 from .swcalc import (
-    SweepReport,
     UnsupportedParityError,
     parity_sweep,
     sw4_zero_closed,
@@ -67,27 +69,22 @@ def _load_bundle(path: str) -> TorusBundle:
         raise _CliInputError(f"bundle file {path}: {exc}") from None
 
 
-def _emit(payload: dict[str, Any], lines: list[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
 def _yesno(value: bool) -> str:
     return "yes" if value else "no"
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _agree(value: bool) -> str:
+    return "agree" if value else "disagree"
+
+
+def _fields(record: Record) -> dict[str, Any]:
+    return {f: getattr(record, f) for f in record._fields}
+
+
+def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
     bundle = _load_bundle(args.bundle_file)
     report = is_symplectic(bundle)
-    spectral_state = (
-        "skipped (monodromy violates the surface relation)"
-        if report.cross_checks.spectral_oracle is None
-        else ("agree" if report.cross_checks.spectral_oracle else "disagree")
-    )
-    payload = {
+    return {
         "genus": bundle.genus,
         "euler": list(bundle.euler),
         "principal": bundle.is_principal,
@@ -96,90 +93,82 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "has_circle_action": report.has_circle_action,
         "fiber_class_nonzero": report.fiber_class_nonzero,
         "symplectic": report.symplectic,
-        "rationale": [{"rule": r.rule, "statement": r.statement} for r in report.rationale],
-        "cross_checks": {
-            "betti_oracle": report.cross_checks.betti_oracle,
-            "spectral_oracle": report.cross_checks.spectral_oracle,
-        },
+        "rationale": [_fields(r) for r in report.rationale],
+        "cross_checks": _fields(report.cross_checks),
     }
-    lines = [
-        f"genus: {bundle.genus}",
-        f"euler class: ({bundle.euler[0]}, {bundle.euler[1]})",
-        f"principal (trivial monodromy): {_yesno(bundle.is_principal)}",
-        f"b1: {report.b1}",
-        f"b2: {report.b2}",
-        f"free circle action preserving fibers: {_yesno(report.has_circle_action)}",
-        f"fiber class nonzero in H_2(E; R): {_yesno(report.fiber_class_nonzero)}",
-        f"symplectic: {_yesno(report.symplectic)} ({report.rationale[0].rule})",
+
+
+def _text_classify(p: dict[str, Any], args: argparse.Namespace) -> list[str]:
+    spectral = p["cross_checks"]["spectral_oracle"]
+    return [
+        f"genus: {p['genus']}",
+        "euler class: ({}, {})".format(*p["euler"]),
+        f"principal (trivial monodromy): {_yesno(p['principal'])}",
+        f"b1: {p['b1']}",
+        f"b2: {p['b2']}",
+        f"free circle action preserving fibers: {_yesno(p['has_circle_action'])}",
+        f"fiber class nonzero in H_2(E; R): {_yesno(p['fiber_class_nonzero'])}",
+        f"symplectic: {_yesno(p['symplectic'])} ({p['rationale'][0]['rule']})",
         "rationale:",
+        *(f"  {r['rule']}: {r['statement']}" for r in p["rationale"]),
+        "cross-checks:",
+        f"  betti-oracle: {_agree(p['cross_checks']['betti_oracle'])}",
+        "  spectral-oracle: "
+        + ("skipped (monodromy violates the surface relation)" if spectral is None else _agree(spectral)),
     ]
-    lines.extend(f"  {r.rule}: {r.statement}" for r in report.rationale)
-    lines.append("cross-checks:")
-    lines.append(f"  betti-oracle: {'agree' if report.cross_checks.betti_oracle else 'disagree'}")
-    lines.append(f"  spectral-oracle: {spectral_state}")
-    _emit(payload, lines, args.format)
-    return 0
 
 
-def _cmd_homology(args: argparse.Namespace) -> int:
-    bundle = _load_bundle(args.bundle_file)
-    group = h1_total_space(bundle)
-    b1 = group.free_rank
-    payload = {
+def _cmd_homology(args: argparse.Namespace) -> dict[str, Any]:
+    group = h1_total_space(_load_bundle(args.bundle_file))
+    return {
         "h1": str(group),
         "free_rank": group.free_rank,
         "invariant_factors": list(group.invariant_factors),
-        "b1": b1,
-        "b2": 2 * b1 - 2,
+        "b1": group.free_rank,
+        "b2": 2 * group.free_rank - 2,
     }
-    lines = [
-        f"H1(E) = {group}",
-        f"invariant factors: {list(group.invariant_factors)}",
-        f"b1 = {b1}",
-        f"b2 = {2 * b1 - 2}",
+
+
+def _text_homology(p: dict[str, Any], args: argparse.Namespace) -> list[str]:
+    return [
+        f"H1(E) = {p['h1']}",
+        f"invariant factors: {p['invariant_factors']}",
+        f"b1 = {p['b1']}",
+        f"b2 = {p['b2']}",
     ]
-    _emit(payload, lines, args.format)
-    return 0
 
 
-def _cmd_spectral(args: argparse.Namespace) -> int:
+def _cmd_spectral(args: argparse.Namespace) -> dict[str, Any]:
     bundle = _load_bundle(args.bundle_file)
     ranks = e2_ranks(bundle.genus, bundle.monodromy)
-    verdict = fiber_class_via_spectral(bundle)
-    payload = {
-        "rank_e00": ranks.rank_e00,
-        "rank_e01": ranks.rank_e01,
-        "rank_e02": ranks.rank_e02,
-        "rank_e10": ranks.rank_e10,
-        "rank_e11": ranks.rank_e11,
-        "rank_e20": ranks.rank_e20,
-        "rank_e21": ranks.rank_e21,
-        "rank_e22": ranks.rank_e22,
-        "fiber_class_nonzero": verdict,
+    _, b2 = betti(bundle)
+    return {
+        **_fields(ranks),
+        "fiber_class_nonzero": ranks.fiber_class_nonzero(b2),
         "surface_relation_holds": bundle.surface_relation_holds(),
     }
+
+
+def _text_spectral(p: dict[str, Any], args: argparse.Namespace) -> list[str]:
     lines = [
         "E2 ranks (rows q = 2, 1, 0; columns p = 0, 1, 2):",
-        f"  q=2: {ranks.rank_e02} {ranks.rank_e10} {ranks.rank_e22}",
-        f"  q=1: {ranks.rank_e01} {ranks.rank_e11} {ranks.rank_e21}",
-        f"  q=0: {ranks.rank_e00} {ranks.rank_e10} {ranks.rank_e20}",
-        f"rank E11 = {ranks.rank_e11} (depends only on monodromy)",
-        f"fiber class nonzero (b2 == 2 + rank E11): {_yesno(verdict)}",
+        f"  q=2: {p['rank_e02']} {p['rank_e10']} {p['rank_e22']}",
+        f"  q=1: {p['rank_e01']} {p['rank_e11']} {p['rank_e21']}",
+        f"  q=0: {p['rank_e00']} {p['rank_e10']} {p['rank_e20']}",
+        f"rank E11 = {p['rank_e11']} (depends only on monodromy)",
+        f"fiber class nonzero (b2 == 2 + rank E11): {_yesno(p['fiber_class_nonzero'])}",
     ]
-    if not bundle.surface_relation_holds():
-        lines.append(
-            "warning: monodromy violates the surface relation; no fibration realizes this tuple"
-        )
-    _emit(payload, lines, args.format)
-    return 0
+    if not p["surface_relation_holds"]:
+        lines.append("warning: monodromy violates the surface relation; no fibration realizes this tuple")
+    return lines
 
 
-def _cmd_swpoly(args: argparse.Namespace) -> int:
+def _cmd_swpoly(args: argparse.Namespace) -> dict[str, Any]:
     try:
         poly = sw_poly_circle_bundle(args.genus, args.n)
     except ValueError as exc:
         raise _CliInputError(str(exc)) from None
-    payload = {
+    return {
         "genus": args.genus,
         "n": args.n,
         "modulus": poly.modulus,
@@ -187,18 +176,19 @@ def _cmd_swpoly(args: argparse.Namespace) -> int:
         "polynomial": poly.render(),
         "sign_convention": SIGN_CONVENTION,
     }
-    lines = [
-        f"SW polynomial of the circle bundle: genus {args.genus}, euler number {args.n}",
-        f"modulus: {poly.modulus}",
-        f"polynomial: {poly.render()}",
-        f"coefficients: {list(poly.coefficients)}",
-        f"note: {SIGN_CONVENTION}",
+
+
+def _text_swpoly(p: dict[str, Any], args: argparse.Namespace) -> list[str]:
+    return [
+        f"SW polynomial of the circle bundle: genus {p['genus']}, euler number {p['n']}",
+        f"modulus: {p['modulus']}",
+        f"polynomial: {p['polynomial']}",
+        f"coefficients: {p['coefficients']}",
+        f"note: {p['sign_convention']}",
     ]
-    _emit(payload, lines, args.format)
-    return 0
 
 
-def _cmd_sw0(args: argparse.Namespace) -> int:
+def _cmd_sw0(args: argparse.Namespace) -> dict[str, Any]:
     try:
         coset = sw4_zero_coset(args.genus, args.m, args.n)
     except ValueError as exc:
@@ -208,66 +198,57 @@ def _cmd_sw0(args: argparse.Namespace) -> int:
         closed = sw4_zero_closed(args.genus, args.m, args.n)
     except UnsupportedParityError:
         closed = None
-    agree = closed is None or closed == coset
-    payload = {
+    return {
         "genus": args.genus,
         "m": args.m,
         "n": args.n,
         "coset_route": coset,
         "closed_route": closed,
-        "routes_agree": agree,
+        "routes_agree": closed is None or closed == coset,
         "even": coset % 2 == 0,
         "sign_convention": SIGN_CONVENTION,
     }
-    lines = [
-        f"degree-zero SW invariant: genus {args.genus}, m {args.m}, n {args.n}",
-        f"coset route: {coset}",
+
+
+def _text_sw0(p: dict[str, Any], args: argparse.Namespace) -> list[str]:
+    closed = p["closed_route"]
+    return [
+        f"degree-zero SW invariant: genus {p['genus']}, m {p['m']}, n {p['n']}",
+        f"coset route: {p['coset_route']}",
         (
             f"closed route: {closed}"
             if closed is not None
             else "closed route: unavailable (even n with odd m; the coset route is definitive)"
         ),
-        f"routes agree: {'yes' if closed is not None and agree else ('n/a' if closed is None else 'no')}",
-        f"value even: {_yesno(coset % 2 == 0)}",
-        f"note: {SIGN_CONVENTION}",
+        f"routes agree: {'n/a' if closed is None else _yesno(p['routes_agree'])}",
+        f"value even: {_yesno(p['even'])}",
+        f"note: {p['sign_convention']}",
     ]
-    _emit(payload, lines, args.format)
-    if closed is not None and not agree:
-        print("internal inconsistency: evaluation routes disagree", file=sys.stderr)
-        return 2
-    return 0
 
 
-def _sweep_payload(report: SweepReport) -> dict[str, Any]:
-    return {
-        "cases": report.cases,
-        "skipped": report.skipped,
-        "all_even": report.all_even,
-        "counterexamples": [
-            {"g": c.g, "m": c.m, "n": c.n, "value": c.value, "kind": c.kind, "detail": c.detail}
-            for c in report.counterexamples
-        ],
-    }
-
-
-def _cmd_verify_parity(args: argparse.Namespace) -> int:
+def _cmd_verify_parity(args: argparse.Namespace) -> dict[str, Any]:
     g_range = _parse_range(args.g, "--g")
     mn_range = _parse_range(args.mn, "--mn")
     if g_range.start < 2:
         raise _CliInputError(f"--g range must start at 2 or above, got {args.g}")
     report = parity_sweep(g_range, mn_range, mn_range)
-    lines = [
+    return {
+        "cases": report.cases,
+        "skipped": report.skipped,
+        "all_even": report.all_even,
+        "counterexamples": [_fields(c) for c in report.counterexamples],
+    }
+
+
+def _text_verify_parity(p: dict[str, Any], args: argparse.Namespace) -> list[str]:
+    return [
         f"parity sweep: g in {args.g}, m and n in {args.mn}",
-        f"cases evaluated: {report.cases}",
-        f"cells skipped (m or n = 0): {report.skipped}",
-        f"all values even: {_yesno(report.all_even)}",
-        f"counterexamples: {len(report.counterexamples)}",
+        f"cases evaluated: {p['cases']}",
+        f"cells skipped (m or n = 0): {p['skipped']}",
+        f"all values even: {_yesno(p['all_even'])}",
+        f"counterexamples: {len(p['counterexamples'])}",
+        *(f"  g={c['g']} m={c['m']} n={c['n']}: {c['kind']}: {c['detail']}" for c in p["counterexamples"]),
     ]
-    lines.extend(
-        f"  g={c.g} m={c.m} n={c.n}: {c.kind}: {c.detail}" for c in report.counterexamples
-    )
-    _emit(_sweep_payload(report), lines, args.format)
-    return 2 if report.counterexamples else 0
 
 
 def _build_parser() -> _Parser:
@@ -277,42 +258,37 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
+    def add_output(p: argparse.ArgumentParser, build: Callable, text: Callable) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(build=build, text=text)
 
     p = sub.add_parser("classify", help="full classification report for a bundle file")
     p.add_argument("bundle_file")
-    add_format(p)
-    p.set_defaults(func=_cmd_classify)
+    add_output(p, _cmd_classify, _text_classify)
 
     p = sub.add_parser("homology", help="H1 invariant factors and Betti numbers")
     p.add_argument("bundle_file")
-    add_format(p)
-    p.set_defaults(func=_cmd_homology)
+    add_output(p, _cmd_homology, _text_homology)
 
     p = sub.add_parser("spectral", help="E2 ranks and the rank-based fiber-class verdict")
     p.add_argument("bundle_file")
-    add_format(p)
-    p.set_defaults(func=_cmd_spectral)
+    add_output(p, _cmd_spectral, _text_spectral)
 
     p = sub.add_parser("swpoly", help="SW polynomial of a circle bundle")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_swpoly)
+    add_output(p, _cmd_swpoly, _text_swpoly)
 
     p = sub.add_parser("sw0", help="degree-zero SW invariant by both routes")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_sw0)
+    add_output(p, _cmd_sw0, _text_sw0)
 
     p = sub.add_parser("verify-parity", help="sweep the degree-zero invariant over a grid")
     p.add_argument("--g", required=True, help="inclusive genus range a..b")
     p.add_argument("--mn", required=True, help="inclusive range a..b applied to both m and n")
-    add_format(p)
-    p.set_defaults(func=_cmd_verify_parity)
+    add_output(p, _cmd_verify_parity, _text_verify_parity)
 
     return parser
 
@@ -341,7 +317,15 @@ def run(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_merge_range_values(argv))
-        return args.func(args)
+        payload = args.build(args)
+        if args.format == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            print("\n".join(args.text(payload, args)))
+        if payload.get("routes_agree") is False:  # sw0's closed route contradicts its coset route
+            print("internal inconsistency: evaluation routes disagree", file=sys.stderr)
+            return 2
+        return 2 if payload.get("counterexamples") else 0  # verify-parity found an odd value or a disagreement
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return int(code) if isinstance(code, int) else 0

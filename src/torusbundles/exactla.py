@@ -156,13 +156,6 @@ class AbelianGroup(Record):
             if b % a != 0:
                 raise ValueError(f"invariant factors {factors} violate the divisibility chain")
 
-    @property
-    def torsion_order(self) -> int:
-        order = 1
-        for d in self.invariant_factors:
-            order *= d
-        return order
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:

@@ -42,6 +42,10 @@ class E2Ranks(Record):
     rank_e21: int
     rank_e22: int
 
+    def fiber_class_nonzero(self, b2: int) -> bool:
+        """The rank criterion: the fiber class survives exactly when the total space has b2 = 2 + rank E11."""
+        return b2 == 2 + self.rank_e11
+
 
 def surface_relator(g: int) -> tuple[int, ...]:
     """Relator word over signed 1-based letters: generator j is letter j+1, its inverse -(j+1)."""
@@ -144,10 +148,8 @@ def e2_ranks(g: int, monodromy: Sequence[SL2Z]) -> E2Ranks:
 def fiber_class_via_spectral(b: TorusBundle) -> bool:
     """Rank test for a nonzero fiber class in real second homology.
 
-    True exactly when b2 of the total space equals 2 + rank E11, the count
-    the corner entries contribute when the fiber class survives.  rank E11
+    Applies E2Ranks.fiber_class_nonzero to the bundle's b2.  rank E11
     depends only on the monodromy, never on the Euler class.
     """
     _, b2 = betti(b)
-    ranks = e2_ranks(b.genus, b.monodromy)
-    return b2 == 2 + ranks.rank_e11
+    return e2_ranks(b.genus, b.monodromy).fiber_class_nonzero(b2)

@@ -62,9 +62,6 @@ class ResidueSet(Record):
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, x: int) -> bool:
-        return x % self.modulus in self.members
-
 
 class SWPolynomial(Record):
     """Integer coefficients indexed by residues mod |n|."""
@@ -220,34 +217,38 @@ def _coset_sum(poly: SWPolynomial, m: int, n: int) -> int:
     return total
 
 
-def sw4_zero_closed(g: int, m: int, n: int) -> int:
-    """Closed form for the degree-zero invariant.
+def _inner_sums(g: int, m: int, n: int, form: str) -> int:
+    """Inner alternating sums of the closed form over the residues divisible by gcd(|m|,|n|).
 
-    Odd n: sign(n) * (|n| / gcd(|m|,|n|)) times the inner alternating sums
-    over the residues divisible by gcd(|m|,|n|).  Even n requires even m and
-    multiplies by |n| / (x * gcd), x in {1, 2} according to whether doubling
-    m doubles the gcd; the inner sums then run over the half-indices of the
-    even residues with step |n/2|.  Must equal sw4_zero_coset everywhere it
-    is defined.
+    Odd n sums over those residues with step |n|.  Even n requires even m
+    (else UnsupportedParityError naming the form) and sums over the
+    half-indices of the even residues with step |n/2|.
     """
     _require_genus(g)
     _require_nonzero(n)
-    sign = _sign(n)
     d = gcd(abs(m), abs(n))
     if n % 2 != 0:
-        prefactor = abs(n) // d
-        inner = sum(_alternating_binomial_sum(g, i, abs(n)) for i in range(0, abs(n), d))
-        return sign * prefactor * inner
+        return sum(_alternating_binomial_sum(g, i, abs(n)) for i in range(0, abs(n), d))
     if m % 2 != 0:
         raise UnsupportedParityError(
-            f"closed form undefined for even n = {n} with odd m = {m}; use the coset evaluation"
+            f"{form} undefined for even n = {n} with odd m = {m}; use the coset evaluation"
         )
-    d2 = gcd(abs(2 * m), abs(n))
-    x = 1 if d2 == d else 2
-    prefactor = abs(n) // (x * d)
     half = abs(n) // 2
-    inner = sum(_alternating_binomial_sum(g, h, half) for h in range(0, half, d // 2))
-    return sign * prefactor * inner
+    return sum(_alternating_binomial_sum(g, h, half) for h in range(0, half, d // 2))
+
+
+def sw4_zero_closed(g: int, m: int, n: int) -> int:
+    """Closed form for the degree-zero invariant.
+
+    sign(n) * |n| / (x * gcd(|m|,|n|)) times the inner sums, x in {1, 2}
+    according to whether doubling m doubles the gcd (never for odd n).
+    Even n requires even m.  Must equal sw4_zero_coset everywhere it is
+    defined.
+    """
+    inner = _inner_sums(g, m, n, "closed form")
+    d = gcd(abs(m), abs(n))
+    x = 1 if gcd(abs(2 * m), abs(n)) == d else 2
+    return _sign(n) * (abs(n) // (x * d)) * inner
 
 
 def sw4_zero_nonpullback(g: int, m: int, n: int) -> int:
@@ -257,18 +258,7 @@ def sw4_zero_nonpullback(g: int, m: int, n: int) -> int:
     zero, so every contributing structure is counted once.  Same parity
     restriction as the closed form; always an even integer.
     """
-    _require_genus(g)
-    _require_nonzero(n)
-    sign = _sign(n)
-    d = gcd(abs(m), abs(n))
-    if n % 2 != 0:
-        return sign * sum(_alternating_binomial_sum(g, i, abs(n)) for i in range(0, abs(n), d))
-    if m % 2 != 0:
-        raise UnsupportedParityError(
-            f"prefactor-free form undefined for even n = {n} with odd m = {m}; use the coset evaluation"
-        )
-    half = abs(n) // 2
-    return sign * sum(_alternating_binomial_sum(g, h, half) for h in range(0, half, d // 2))
+    return _sign(n) * _inner_sums(g, m, n, "prefactor-free form")
 
 
 class SweepCounterexample(Record):

@@ -19,6 +19,7 @@ over SL(2,Z).
 from __future__ import annotations
 
 import random
+import sys
 
 from torusbundles import SL2Z, TorusBundle, fixed_sublattice
 
@@ -109,3 +110,22 @@ def random_valid_bundle(rng: random.Random, g: int, euler_bound: int = 5) -> Tor
         if abs(candidate[0]) <= euler_bound and abs(candidate[1]) <= euler_bound:
             euler = candidate
     return TorusBundle(g, monodromy, euler)
+
+
+def replace_everywhere(monkeypatch, fn, replacement) -> None:
+    """Rebind fn to replacement in every torusbundles module that binds it."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "torusbundles" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, replacement)
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap fn everywhere it is bound; each call appends its arguments to the returned list."""
+    calls: list = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    replace_everywhere(monkeypatch, fn, counted)
+    return calls

@@ -3,10 +3,15 @@ import random
 import pytest
 
 from torusbundles import (
+    AbelianGroup,
+    E2Ranks,
+    InternalInconsistencyError,
     ProductH1Class,
     ProductH2Class,
     TorusBundle,
+    cokernel_structure,
     conjugate_bundle,
+    e2_ranks,
     cup_product_annihilator,
     fiber_class_nonzero,
     fiber_class_via_spectral,
@@ -16,7 +21,15 @@ from torusbundles import (
     thurston_norm_product,
 )
 
-from support import IDENTITY, ROTATION, UPPER, random_sl2z, random_valid_bundle
+from support import (
+    IDENTITY,
+    ROTATION,
+    UPPER,
+    count_calls,
+    random_sl2z,
+    random_valid_bundle,
+    replace_everywhere,
+)
 
 
 def bundle(monodromy, euler=(0, 0), genus=2):
@@ -94,6 +107,29 @@ class TestIsSymplectic:
             assert r1.symplectic == r2.symplectic
             assert r1.has_circle_action == r2.has_circle_action
             assert (r1.b1, r1.b2) == (r2.b1, r2.b2)
+
+    def test_each_h1_is_reduced_once(self, monkeypatch):
+        b = bundle([UPPER, IDENTITY, IDENTITY, UPPER.inverse()], euler=(2, 0))
+        assert b.surface_relation_holds()  # so the spectral oracle runs too
+        calls = count_calls(monkeypatch, cokernel_structure)
+        assert is_symplectic(b).cross_checks.all_pass()
+        assert len(calls) == 2  # the bundle's H1 and its flat twin's; the spectral test reuses b2
+
+    @pytest.mark.parametrize("oracle", ["betti", "spectral"])
+    def test_oracle_disagreement_raises(self, oracle, monkeypatch):
+        b = bundle([UPPER, IDENTITY, IDENTITY, UPPER.inverse()], euler=(2, 0))
+        assert is_symplectic(b).symplectic
+        if oracle == "betti":  # the flat twin gains a Betti number, so b1 seems to drop
+            real = h1_total_space
+            replace_everywhere(
+                monkeypatch,
+                h1_total_space,
+                lambda x: AbelianGroup(real(x).free_rank + x.is_flat, real(x).invariant_factors),
+            )
+        else:  # rank E11 = 0 makes b2 == 2 + rank E11 fail
+            replace_everywhere(monkeypatch, e2_ranks, lambda g, mono: E2Ranks(1, 0, 1, 2 * g, 0, 1, 0, 1))
+        with pytest.raises(InternalInconsistencyError, match=f"^{oracle} oracle \\(False\\) disagrees"):
+            is_symplectic(b)
 
 
 class TestCupProductAnnihilator:

@@ -7,7 +7,11 @@ from pathlib import Path
 import pytest
 
 import torusbundles
+import torusbundles.cli
+from torusbundles import SweepCounterexample, SweepReport, e2_ranks
 from torusbundles.cli import run
+
+from support import count_calls
 
 TRIVIAL_DOC = {
     "genus": 2,
@@ -77,6 +81,11 @@ class TestHomologyAndSpectral:
         assert "rank E11 = 4" in out
         assert "fiber class nonzero (b2 == 2 + rank E11): yes" in out
 
+    def test_spectral_builds_the_e2_page_once(self, rotation_file, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, e2_ranks)
+        assert run(["spectral", rotation_file]) == 0
+        assert len(calls) == 1
+
 
 class TestSwCommands:
     def test_swpoly(self, capsys):
@@ -100,6 +109,14 @@ class TestSwCommands:
     def test_swpoly_rejects_zero_n(self, capsys):
         assert run(["swpoly", "--genus", "2", "--n", "0"]) == 1
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_sw0_route_disagreement_exits_2(self, fmt, monkeypatch, capsys):
+        monkeypatch.setattr(torusbundles.cli, "sw4_zero_closed", lambda g, m, n: 99)
+        assert run(["sw0", "--genus", "2", "--m", "3", "--n", "3", f"--format={fmt}"]) == 2
+        captured = capsys.readouterr()
+        assert "99" in captured.out
+        assert captured.err == "internal inconsistency: evaluation routes disagree\n"
+
 
 class TestVerifyParity:
     def test_small_sweep(self, capsys):
@@ -117,6 +134,16 @@ class TestVerifyParity:
 
     def test_bad_range_syntax(self, capsys):
         assert run(["verify-parity", "--g", "2-3", "--mn", "1..2"]) == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_counterexample_exits_2(self, fmt, monkeypatch, capsys):
+        odd = SweepCounterexample(2, 1, 3, 7, "odd-value", "value 7 is odd")
+        report = SweepReport(cases=1, skipped=0, all_even=False, counterexamples=(odd,))
+        monkeypatch.setattr(torusbundles.cli, "parity_sweep", lambda g, m, n: report)
+        assert run(["verify-parity", "--g", "2..2", "--mn", "1..3", f"--format={fmt}"]) == 2
+        captured = capsys.readouterr()
+        assert "value 7 is odd" in captured.out
+        assert captured.err == ""
 
 
 class TestInputErrors:
