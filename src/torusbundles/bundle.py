@@ -27,6 +27,14 @@ class ValidationError(ValueError):
     """Raised for semantically invalid bundle data (determinant, arity, genus)."""
 
 
+def _show(x: int) -> str:
+    """Decimal text of x for a message, or its bit length where Python's digit limit refuses the text."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{x.bit_length()}-bit integer>"
+
+
 class SL2Z(Record):
     """2x2 integer matrix of determinant 1."""
 
@@ -41,7 +49,8 @@ class SL2Z(Record):
             if isinstance(x, bool) or not isinstance(x, int):
                 raise ValidationError(f"matrix entry {x!r} is not an integer")
         if a * d - b * c != 1:
-            raise ValidationError(f"matrix [[{a},{b}],[{c},{d}]] has determinant {a * d - b * c}, expected 1")
+            det = _show(a * d - b * c)
+            raise ValidationError(f"matrix [[{a},{b}],[{c},{d}]] has determinant {det}, expected 1")
         self.__dict__.update(a=a, b=b, c=c, d=d)
 
     @classmethod
@@ -134,7 +143,7 @@ class TorusBundle(Record):
         object.__setattr__(self, "monodromy", tuple(self.monodromy))
         if len(self.monodromy) != 2 * self.genus:
             raise ValidationError(
-                f"monodromy has {len(self.monodromy)} matrices, expected 2*genus = {2 * self.genus}"
+                f"monodromy has {len(self.monodromy)} matrices, expected 2*genus = {_show(2 * self.genus)}"
             )
         for i, m in enumerate(self.monodromy):
             if not isinstance(m, SL2Z):
@@ -226,11 +235,15 @@ def parse_bundle(text: str) -> TorusBundle:
 
     The format is a JSON object {"genus": g, "monodromy": [[[a,b],[c,d]], ...],
     "euler": [m, n]} with exactly 2g monodromy matrices, each of determinant
-    1, and unbounded integers throughout.
+    1, and unbounded integers throughout.  An integer literal longer than
+    Python's digit limit (4,300 digits unless the interpreter is configured
+    otherwise) is refused with a ParseError, as is malformed or too deeply
+    nested JSON.
     """
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+    except (ValueError, RecursionError) as exc:
+        # ValueError: JSONDecodeError or an integer literal over the digit limit; RecursionError: deep nesting
         raise ParseError(f"invalid bundle document: {exc}") from None
     return bundle_from_dict(obj)
 

@@ -1,14 +1,23 @@
 """Exact integer linear algebra.
 
-Smith normal form with accumulated transforms, saturated integer kernels,
-cokernel structure of relation matrices, and binomial coefficients with an
-explicit out-of-range convention.  All arithmetic uses Python's unbounded
-integers; nothing in this package touches floating point.
+Two Smith reductions serve different callers.  `snf` returns the diagonal
+together with both unimodular transforms; `integer_kernel` reads its right
+transform, so the fixed lattice behind the rule-based verdict runs on it.
+`_smith_diagonal` returns only the nonzero invariant factors and builds no
+transform; `rank` and `cokernel_structure` use it, and with them b1/b2, the
+Betti oracle and the E2 ranks of the spectral oracle.  The split keeps the
+rule route and the oracles on independent kernels, so every classification
+cross-checks one against the other, and the oracles no longer pay for
+transforms they never read.  The module also provides saturated integer
+kernels, cokernel structure of relation matrices, determinants, and
+binomial coefficients with an explicit out-of-range convention.  All
+arithmetic uses Python's unbounded integers; nothing in this package touches
+floating point.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, gcd
 from typing import Iterable, Sequence
 
 from ._record import Record
@@ -57,6 +66,14 @@ class IntMatrix:
         self._cols = width
 
     @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
+        """Wrap row tuples the package built from already-checked integers, skipping the checks."""
+        m = object.__new__(cls)
+        m._entries = rows
+        m._cols = cols
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
@@ -75,7 +92,7 @@ class IntMatrix:
                 raise ValueError("rows disagrees with column length")
         else:
             height = 0 if rows is None else rows
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(height)], cols=len(cols))
+        return cls(cols, cols=height).transpose()
 
     @property
     def rows(self) -> int:
@@ -100,21 +117,18 @@ class IntMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self._entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        entries = self._entries
+        columns = tuple(tuple(row[j] for row in entries) for j in range(self._cols))
+        return IntMatrix._trusted(columns, len(entries))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            row = self._entries[i]
-            out.append(
-                [sum(row[k] * other._entries[k][j] for k in range(self.cols)) for j in range(other.cols)]
-            )
-        return IntMatrix(out, cols=other.cols)
+        out = tuple(
+            tuple(sum(row[k] * other._entries[k][j] for k in range(self.cols)) for j in range(other.cols))
+            for row in self._entries
+        )
+        return IntMatrix._trusted(out, other.cols)
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self._entries[i][i] for i in range(min(self.rows, self.cols)))
@@ -274,16 +288,71 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     changed = True
 
     return (
-        IntMatrix(u, cols=nr),
-        IntMatrix(a, cols=nc),
-        IntMatrix(v, cols=nc),
+        IntMatrix._trusted(tuple(map(tuple, u)), nr),
+        IntMatrix._trusted(tuple(map(tuple, a)), nc),
+        IntMatrix._trusted(tuple(map(tuple, v)), nc),
     )
 
 
+def _smith_diagonal(m: IntMatrix) -> list[int]:
+    """Nonzero Smith invariants d1 | d2 | ... of m, computed without transforms.
+
+    Works on the thin side: a matrix with more rows than columns is reduced
+    as its transpose, which has the same invariants, so each pivot sweeps
+    the long side once.  Every pivot row is cleared by gcd column operations
+    and its column by row operations until the pivot is alone; the collected
+    pivots are the diagonal of an equivalent matrix, and pairwise gcd/lcm
+    steps then bring them into the divisibility chain.
+    """
+    a = [list(r) for r in (m.entries if m.rows <= m.cols else zip(*m.entries))]
+    diag = []
+    while a := [r for r in a if any(r)]:
+        # start from the smallest entry, which keeps the cofactors and so the entries small
+        _, i, j = min((abs(x), i, j) for i, r in enumerate(a) for j, x in enumerate(r) if x)
+        for r in a:
+            r[0], r[j] = r[j], r[0]
+        pivot_row, rest = a[i], a[:i] + a[i + 1:]
+        while True:
+            for j in range(1, len(pivot_row)):
+                q = pivot_row[j]
+                if q == 0:
+                    continue
+                p = pivot_row[0]
+                if q % p == 0:
+                    f = q // p
+                    for r in a:
+                        r[j] -= f * r[0]
+                else:
+                    g, x, y = xgcd(p, q)
+                    p, q = p // g, q // g
+                    for r in a:
+                        r[0], r[j] = x * r[0] + y * r[j], p * r[j] - q * r[0]
+            p = pivot_row[0]
+            for r in rest:
+                q = r[0]
+                if q % p:
+                    g, x, y = xgcd(p, q)
+                    p, q = p // g, q // g
+                    pivot_row[:], r[:] = (
+                        [x * u + y * w for u, w in zip(pivot_row, r)],
+                        [p * w - q * u for u, w in zip(pivot_row, r)],
+                    )
+                    break
+                r[0] = 0  # the pivot row is (p, 0, ..., 0) here, so subtracting q/p of it touches only r[0]
+            else:
+                break
+        diag.append(abs(pivot_row[0]))
+        a = [r[1:] for r in rest]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag
+
+
 def rank(m: IntMatrix) -> int:
-    """Rank of an integer matrix (count of nonzero Smith diagonal entries)."""
-    _, d, _ = snf(m)
-    return sum(1 for x in d.diagonal() if x != 0)
+    """Rank of an integer matrix (count of nonzero Smith invariants)."""
+    return len(_smith_diagonal(m))
 
 
 def _normalize_column_sign(column: Sequence[int]) -> tuple[int, ...]:
@@ -307,15 +376,13 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
     kernel_indices = [
         j for j in range(m.cols) if j >= len(diag) or diag[j] == 0
     ]
-    columns = [_normalize_column_sign(v.column(j)) for j in kernel_indices]
-    return IntMatrix.from_columns(columns, rows=m.cols)
+    columns = tuple(_normalize_column_sign(v.column(j)) for j in kernel_indices)
+    return IntMatrix._trusted(columns, m.cols).transpose()
 
 
 def cokernel_structure(m: IntMatrix) -> AbelianGroup:
-    """Isomorphism type of Z^rows / column-span(m), read off the Smith diagonal."""
-    _, d, _ = snf(m)
-    diag = d.diagonal()
-    nonzero = [x for x in diag if x != 0]
+    """Isomorphism type of Z^rows / column-span(m), read off the Smith invariants."""
+    nonzero = _smith_diagonal(m)
     return AbelianGroup(
         free_rank=m.rows - len(nonzero),
         invariant_factors=tuple(x for x in nonzero if x >= 2),
@@ -367,12 +434,9 @@ def stack_rows(matrices: Iterable[IntMatrix]) -> IntMatrix:
     if not mats:
         raise ValueError("nothing to stack")
     cols = mats[0].cols
-    rows: list[Sequence[int]] = []
-    for m in mats:
-        if m.cols != cols:
-            raise ValueError("column count mismatch in vertical stack")
-        rows.extend(m.entries)
-    return IntMatrix(rows, cols=cols)
+    if any(m.cols != cols for m in mats):
+        raise ValueError("column count mismatch in vertical stack")
+    return IntMatrix._trusted(tuple(row for m in mats for row in m.entries), cols)
 
 
 def stack_columns(matrices: Iterable[IntMatrix]) -> IntMatrix:
@@ -381,9 +445,7 @@ def stack_columns(matrices: Iterable[IntMatrix]) -> IntMatrix:
     if not mats:
         raise ValueError("nothing to stack")
     height = mats[0].rows
-    columns: list[Sequence[int]] = []
-    for m in mats:
-        if m.rows != height:
-            raise ValueError("row count mismatch in horizontal stack")
-        columns.extend(m.columns())
-    return IntMatrix.from_columns(columns, rows=height)
+    if any(m.rows != height for m in mats):
+        raise ValueError("row count mismatch in horizontal stack")
+    rows = tuple(tuple(x for m in mats for x in m.entries[i]) for i in range(height))
+    return IntMatrix._trusted(rows, sum(m.cols for m in mats))

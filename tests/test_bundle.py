@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusbundles import (
     ParseError,
@@ -91,6 +93,27 @@ class TestParsing:
     def test_deeply_nested_json_is_parse_error(self):
         with pytest.raises(ParseError, match="invalid bundle document"):
             parse_bundle("[" * 100_000 + "]" * 100_000)
+
+    def test_integer_literal_over_the_digit_limit_is_parse_error(self):
+        text = '{"genus": 2, "monodromy": [[[1, 0], [0, 1]]], "euler": [1%s, 0]}' % ("0" * 4300)
+        with pytest.raises(ParseError, match="invalid bundle document"):
+            parse_bundle(text)
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            # 2*genus and the determinant have more digits than Python will print
+            ('{"genus": %s, "monodromy": [], "euler": [0, 0]}' % ("9" * 4300), "monodromy has 0"),
+            (
+                '{"genus": 2, "monodromy": [[[%s, 0], [0, %s]]], "euler": [0, 0]}' % ("9" * 4300, "9" * 4300),
+                r"monodromy\[0\]: .* has determinant <\d+-bit integer>",
+            ),
+        ],
+        ids=["genus", "determinant"],
+    )
+    def test_messages_survive_values_too_long_to_print(self, doc, field):
+        with pytest.raises(ValidationError, match=field):
+            parse_bundle(doc)
 
     def test_non_integer_entry_is_parse_error(self):
         text = json.dumps(
@@ -182,3 +205,65 @@ class TestEquivariance:
             inv = p.inverse()
             for w in after.basis:
                 assert before.contains(inv.apply(w))
+
+
+def _hostile(rng):
+    """A JSON fragment of any kind a hostile document can put where an integer or an array belongs."""
+    kind = rng.randrange(8)
+    if kind < 2:  # at Python's 4,300-digit limit: the longest literals json accepts, and one digit more
+        return "7" * rng.choice([4299, 4300, 4301])
+    if kind == 2:
+        return str(rng.randint(-(10**40), 10**40))
+    if kind == 3:
+        depth = rng.choice([rng.randint(1, 40), rng.randint(900, 1100), 100_000])
+        return "[" * depth + "]" * depth
+    return rng.choice(["-1", "0", "3", "true", "false", "null", "1.5", "1e400", "NaN", "-Infinity", '"2"', "{}"])
+
+
+@st.composite
+def _documents(draw):
+    """A valid bundle document with at most one part replaced by something hostile.
+
+    The choices come from a drawn Random, so every place and kind of damage has fixed odds; hypothesis'
+    own choices favour the simplest alternatives, and with them the derandomized examples never held a
+    4,300-digit literal where it breaks a message.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    genus = rng.choice([2, 3])
+    sl2z = [(1, 0, 0, 1), (1, 1, 0, 1), (0, -1, 1, 0), (2, 1, 1, 1)]
+    mats = [[str(x) for x in rng.choice(sl2z)] for _ in range(2 * genus)]
+    doc = {"genus": str(genus), "monodromy": None, "euler": [str(rng.randint(-3, 3)), "0"]}
+    where = rng.choice(["none", "top", "key", "genus", "monodromy", "matrix", "entry", "arity", "euler"])
+    bad, i = _hostile(rng), rng.randrange(2 * genus)
+    if where == "top":
+        return bad
+    if where == "key":
+        del doc[rng.choice(sorted(doc))]
+    elif where == "genus":
+        doc["genus"] = bad
+    elif where == "entry":  # both diagonal or both off-diagonal entries make the determinant a product
+        for k in rng.choice([(0,), (1,), (2,), (3,), (0, 3), (1, 2)]):
+            mats[i][k] = bad
+    elif where == "arity":
+        mats = mats[: rng.randint(0, 2 * genus + 2)] + mats[:1] * rng.randint(0, 2)
+    elif where == "euler":
+        doc["euler"] = rng.choice([[bad, "0"], [bad], ["1", "2", "3"], bad])
+    rows = [f"[[{a}, {b}], [{c}, {d}]]" for a, b, c, d in mats]
+    if where == "matrix":
+        rows[i] = rng.choice([bad, f"[{bad}, [0, 1]]", f"[[{bad}], [0, 1]]", "[[1, 0]]"])
+    if "monodromy" in doc:
+        doc["monodromy"] = bad if where == "monodromy" else "[" + ", ".join(rows) + "]"
+    if isinstance(doc.get("euler"), list):
+        doc["euler"] = "[" + ", ".join(doc["euler"]) + "]"
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}"
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_documents())
+def test_parser_fuzz_raises_only_its_own_errors(text):
+    """Any document parses to a bundle or raises ParseError/ValidationError, never another exception."""
+    try:
+        result = parse_bundle(text)
+    except (ParseError, ValidationError):
+        return
+    assert isinstance(result, TorusBundle)

@@ -18,8 +18,10 @@ from torusbundles import (
     h1_total_space,
     invariant_symplectic_exists,
     is_symplectic,
+    snf,
     thurston_norm_product,
 )
+from torusbundles import exactla
 
 from support import (
     IDENTITY,
@@ -129,6 +131,27 @@ class TestIsSymplectic:
         else:  # rank E11 = 0 makes b2 == 2 + rank E11 fail
             replace_everywhere(monkeypatch, e2_ranks, lambda g, mono: E2Ranks(1, 0, 1, 2 * g, 0, 1, 0, 1))
         with pytest.raises(InternalInconsistencyError, match=f"^{oracle} oracle \\(False\\) disagrees"):
+            is_symplectic(b)
+
+
+class TestKernelSplit:
+    """The rule route runs on snf (via integer_kernel), both oracles on the transform-free diagonal."""
+
+    def test_only_the_fixed_lattice_builds_smith_transforms(self, monkeypatch):
+        b = bundle([UPPER, IDENTITY, IDENTITY, UPPER.inverse()], euler=(2, 0))
+        assert b.surface_relation_holds()  # so the spectral oracle runs too
+        snf_calls = count_calls(monkeypatch, snf)
+        diagonal_calls = count_calls(monkeypatch, exactla._smith_diagonal)
+        assert is_symplectic(b).cross_checks.all_pass()
+        assert len(snf_calls) == 1  # the fixed lattice
+        assert len(diagonal_calls) == 4  # H1 of the bundle and of its flat twin, Fox D1 and D2
+
+    def test_a_wrong_diagonal_kernel_is_caught(self, monkeypatch):
+        b = bundle([UPPER, IDENTITY, IDENTITY, UPPER.inverse()], euler=(0, 2))
+        assert not is_symplectic(b).symplectic
+        # a kernel that reads every matrix as zero gives the bundle and its flat twin the same b1
+        monkeypatch.setattr(exactla, "_smith_diagonal", lambda m: [])
+        with pytest.raises(InternalInconsistencyError, match="^betti oracle \\(True\\) disagrees"):
             is_symplectic(b)
 
 

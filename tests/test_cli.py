@@ -185,6 +185,15 @@ class TestInputErrors:
         assert err.startswith("error:")
         assert str(path) in err
 
+    @pytest.mark.parametrize("command", ["classify", "homology", "spectral"])
+    def test_integer_literal_over_the_digit_limit(self, command, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"genus": 2, "monodromy": [[[1, 0], [0, 1]]], "euler": [1%s, 0]}' % ("0" * 4300))
+        assert run([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(path) in err
+
     def test_unknown_flag(self, capsys):
         assert run(["swpoly", "--genus", "2", "--n", "3", "--frobnicate"]) == 1
 

@@ -2,6 +2,8 @@ import random
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusbundles import (
     AbelianGroup,
@@ -13,6 +15,7 @@ from torusbundles import (
     rank,
     snf,
 )
+from torusbundles.exactla import _smith_diagonal
 
 
 def random_matrix(rng, max_dim=6, bound=9):
@@ -194,3 +197,49 @@ class TestAbelianGroup:
             AbelianGroup(0, (4, 2))
         with pytest.raises(ValueError):
             AbelianGroup(-1, ())
+
+
+def _sympy_invariants(m):
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form
+
+    d = smith_normal_form(Matrix(m.rows, m.cols, [x for row in m.entries for x in row]), domain=ZZ)
+    return [abs(int(d[i, i])) for i in range(min(m.rows, m.cols)) if d[i, i] != 0]
+
+
+@st.composite
+def _matrices(draw):
+    """Thin 2 x N and N x 2 (N up to 257, the H1 width at genus 64), small squares, empty and zero.
+
+    Entries come from a drawn Random, since drawing up to 514 integers one by one costs seconds.
+    """
+    shape = draw(st.sampled_from(["wide", "tall", "square", "zero"]))
+    if shape in ("wide", "tall"):
+        n = draw(st.integers(0, 257))
+        rows, cols = (2, n) if shape == "wide" else (n, 2)
+    else:
+        rows = draw(st.integers(0, 5))
+        cols = rows if shape == "square" else draw(st.integers(0, 5))
+    bound = 0 if shape == "zero" else draw(st.sampled_from([1, 3, 10**6, 10**30]))
+    density = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def entry():
+        return rng.randint(-bound, bound) if rng.random() < density else 0
+
+    return IntMatrix([[entry() for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+class TestSmithDiagonal:
+    """The transform-free kernel behind rank and cokernel_structure against snf and sympy."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(_matrices())
+    def test_matches_snf_and_sympy(self, m):
+        diagonal = _smith_diagonal(m)
+        assert diagonal == [x for x in snf(m)[1].diagonal() if x != 0]
+        assert diagonal == _sympy_invariants(m)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 2), (1, 257), (257, 1)])
+    def test_empty_and_zero_matrices(self, shape):
+        assert _smith_diagonal(IntMatrix.zeros(*shape)) == []
