@@ -2,15 +2,17 @@
 
 Each file in tests/golden/cases holds one invocation; bundle paths in argv are
 relative to tests/golden, so the CLI runs from there and error messages that
-echo the path stay stable.
+echo the path stay stable.  argparse wraps help text to the terminal width,
+so the runner fixes COLUMNS at 80 for the --help cases.
 """
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from torusbundles.cli import run
+from torusbundles.cli import _build_parser, run
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted((GOLDEN / "cases").glob("*.json"))
@@ -20,6 +22,7 @@ CASES = sorted((GOLDEN / "cases").glob("*.json"))
 def test_cli_transcript(case, monkeypatch, capsys):
     expected = json.loads(case.read_text(encoding="utf-8"))
     monkeypatch.chdir(GOLDEN)
+    monkeypatch.setenv("COLUMNS", "80")
     code = run(expected["argv"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (
@@ -27,3 +30,17 @@ def test_cli_transcript(case, monkeypatch, capsys):
         expected["stdout"],
         expected["stderr"],
     )
+
+
+def test_every_subcommand_has_text_json_and_help_cases():
+    """A subcommand the parser registers without goldens fails here, so new ones cannot skip them."""
+    covered = set()
+    for case in CASES:
+        expected = json.loads(case.read_text(encoding="utf-8"))
+        argv = expected["argv"]
+        kind = "help" if "--help" in argv else "json" if "--format=json" in argv else "text"
+        if expected["exit_code"] == 0:
+            covered.add((argv[0], kind))
+    (subparsers,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    missing = {(name, kind) for name in subparsers.choices for kind in ("text", "json", "help")} - covered
+    assert not missing
