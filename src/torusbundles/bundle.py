@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from math import gcd
-from typing import Any, Sequence
+from typing import Any
 
 from ._record import Record
 from .exactla import IntMatrix, integer_kernel, stack_columns, stack_rows
@@ -25,6 +25,12 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """Raised for semantically invalid bundle data (determinant, arity, genus)."""
+
+
+def require_genus(g: int) -> None:
+    """Reject a base genus below 2, the range every computation in the package supports."""
+    if g < 2:
+        raise ValidationError(f"genus {g} is below the supported range (need g >= 2)")
 
 
 def _show(x: int) -> str:
@@ -56,11 +62,6 @@ class SL2Z(Record):
     @classmethod
     def identity(cls) -> "SL2Z":
         return cls(1, 0, 0, 1)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "SL2Z":
-        (a, b), (c, d) = rows
-        return cls(a, b, c, d)
 
     @property
     def det(self) -> int:
@@ -138,8 +139,7 @@ class TorusBundle(Record):
     def _check(self) -> None:
         if isinstance(self.genus, bool) or not isinstance(self.genus, int):
             raise ValidationError(f"genus {self.genus!r} is not an integer")
-        if self.genus < 2:
-            raise ValidationError(f"genus {self.genus} is below the supported range (need g >= 2)")
+        require_genus(self.genus)
         object.__setattr__(self, "monodromy", tuple(self.monodromy))
         if len(self.monodromy) != 2 * self.genus:
             raise ValidationError(

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ._record import Record
-from .bundle import Lattice, TorusBundle, fixed_sublattice
+from .bundle import Lattice, TorusBundle, fixed_sublattice, require_genus
 from .exactla import IntMatrix, integer_kernel
 from .homology import betti, h1_total_space
 from .spectral import e2_ranks
@@ -186,8 +186,7 @@ def cup_product_annihilator(g: int, c1: ProductH2Class) -> tuple[tuple[int, ...]
     linear functional: dimension 2g when the functional is nonzero, 2g + 1
     when c1 pairs to zero.
     """
-    if g < 2:
-        raise ValueError(f"genus {g} is below the supported range (need g >= 2)")
+    require_genus(g)
     kvec = tuple(c1.torus_coeffs)
     if len(kvec) != 2 * g:
         raise ValueError(f"expected 2g = {2 * g} torus coefficients, got {len(kvec)}")
@@ -214,8 +213,7 @@ def thurston_norm_product(g: int, x: ProductH1Class) -> int:
     Depends only on the circle coefficient k; pullbacks from the surface
     have norm zero.
     """
-    if g < 2:
-        raise ValueError(f"genus {g} is below the supported range (need g >= 2)")
+    require_genus(g)
     if len(x.base_coeffs) != 2 * g:
         raise ValueError(f"expected 2g = {2 * g} base coefficients, got {len(x.base_coeffs)}")
     return abs(x.circle_coeff) * (2 * g - 2)

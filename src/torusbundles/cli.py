@@ -1,10 +1,9 @@
-"""Command-line interface.
+"""Command-line interface: one row of COMMANDS per subcommand.
 
-Subcommands: classify, homology, spectral (bundle-file input), swpoly, sw0
-(inline parameters), verify-parity (grid sweep).  Each subcommand builds one
-payload: --format=json prints it, and the default deterministic text is
-rendered from it alone (the verify-parity header also echoes the raw --g and
---mn strings).  Exit codes: 0 success, 1 input error, 2 internal cross-check
+A row holds the name, help string and arguments, a payload builder and a text
+renderer.  --format=json prints the payload; the default text is rendered from
+it alone (the verify-parity header also echoes the raw --g and --mn strings).
+Exit codes: 0 success, 1 input error (any ValueError), 2 internal cross-check
 inconsistency, which for sw0 and verify-parity is read off the payload.
 """
 
@@ -14,10 +13,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Iterator, Sequence
 
 from ._record import Record
-from .bundle import ParseError, TorusBundle, ValidationError, parse_bundle
+from .bundle import ParseError, TorusBundle, parse_bundle
 from .classify import InternalInconsistencyError, is_symplectic
 from .homology import betti, h1_total_space
 from .spectral import e2_ranks
@@ -33,28 +32,27 @@ SIGN_CONVENTION = (
     "values are reported with the sign(n) normalization; "
     "the underlying invariant is defined only up to a global sign"
 )
-
-
-class _CliInputError(Exception):
-    pass
+_YES = {True: "yes", False: "no"}
+# a cross-check flag of the classification; None means the spectral oracle did not apply
+_AGREE = {True: "agree", False: "disagree", None: "skipped (monodromy violates the surface relation)"}
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # input errors must exit 1, not argparse's 2
-        raise _CliInputError(message)
+        raise ValueError(message)
 
 
 def _parse_range(text: str, flag: str) -> range:
     """Inclusive integer range written a..b."""
     parts = text.split("..")
     if len(parts) != 2:
-        raise _CliInputError(f"{flag} expects a range a..b, got {text!r}")
+        raise ValueError(f"{flag} expects a range a..b, got {text!r}")
     try:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError:
-        raise _CliInputError(f"{flag} expects integer bounds, got {text!r}") from None
+        raise ValueError(f"{flag} expects integer bounds, got {text!r}") from None
     if hi < lo:
-        raise _CliInputError(f"{flag} range {text!r} is empty (upper bound below lower)")
+        raise ValueError(f"{flag} range {text!r} is empty (upper bound below lower)")
     return range(lo, hi + 1)
 
 
@@ -62,138 +60,100 @@ def _load_bundle(path: str) -> TorusBundle:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise _CliInputError(f"cannot read bundle file {path}: {exc}") from None
+        raise ValueError(f"cannot read bundle file {path}: {exc}") from None
     try:
         return parse_bundle(text)
     except ParseError as exc:
-        raise _CliInputError(f"bundle file {path}: {exc}") from None
+        raise ValueError(f"bundle file {path}: {exc}") from None
 
 
-def _yesno(value: bool) -> str:
-    return "yes" if value else "no"
+def _plain(value: Any) -> Any:
+    """A package result as JSON data: records become dicts and tuples lists, recursively."""
+    if isinstance(value, Record):
+        return {f: _plain(getattr(value, f)) for f in value._fields}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
-def _agree(value: bool) -> str:
-    return "agree" if value else "disagree"
-
-
-def _fields(record: Record) -> dict[str, Any]:
-    return {f: getattr(record, f) for f in record._fields}
-
-
-def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
+def _classify(args: argparse.Namespace) -> dict[str, Any]:
     bundle = _load_bundle(args.bundle_file)
     report = is_symplectic(bundle)
-    return {
-        "genus": bundle.genus,
-        "euler": list(bundle.euler),
-        "principal": bundle.is_principal,
-        "b1": report.b1,
-        "b2": report.b2,
-        "has_circle_action": report.has_circle_action,
-        "fiber_class_nonzero": report.fiber_class_nonzero,
-        "symplectic": report.symplectic,
-        "rationale": [_fields(r) for r in report.rationale],
-        "cross_checks": _fields(report.cross_checks),
-    }
+    return {"genus": bundle.genus, "euler": list(bundle.euler), "principal": bundle.is_principal, **_plain(report)}
 
 
-def _text_classify(p: dict[str, Any], args: argparse.Namespace) -> list[str]:
-    spectral = p["cross_checks"]["spectral_oracle"]
-    return [
-        f"genus: {p['genus']}",
-        "euler class: ({}, {})".format(*p["euler"]),
-        f"principal (trivial monodromy): {_yesno(p['principal'])}",
-        f"b1: {p['b1']}",
-        f"b2: {p['b2']}",
-        f"free circle action preserving fibers: {_yesno(p['has_circle_action'])}",
-        f"fiber class nonzero in H_2(E; R): {_yesno(p['fiber_class_nonzero'])}",
-        f"symplectic: {_yesno(p['symplectic'])} ({p['rationale'][0]['rule']})",
-        "rationale:",
-        *(f"  {r['rule']}: {r['statement']}" for r in p["rationale"]),
-        "cross-checks:",
-        f"  betti-oracle: {_agree(p['cross_checks']['betti_oracle'])}",
-        "  spectral-oracle: "
-        + ("skipped (monodromy violates the surface relation)" if spectral is None else _agree(spectral)),
-    ]
+def _classify_text(p: dict[str, Any], args: argparse.Namespace) -> Iterator[str]:
+    yield f"genus: {p['genus']}"
+    yield "euler class: ({}, {})".format(*p["euler"])
+    yield f"principal (trivial monodromy): {_YES[p['principal']]}"
+    yield f"b1: {p['b1']}"
+    yield f"b2: {p['b2']}"
+    yield f"free circle action preserving fibers: {_YES[p['has_circle_action']]}"
+    yield f"fiber class nonzero in H_2(E; R): {_YES[p['fiber_class_nonzero']]}"
+    yield f"symplectic: {_YES[p['symplectic']]} ({p['rationale'][0]['rule']})"
+    yield "rationale:"
+    yield from (f"  {r['rule']}: {r['statement']}" for r in p["rationale"])
+    yield "cross-checks:"
+    yield f"  betti-oracle: {_AGREE[p['cross_checks']['betti_oracle']]}"
+    yield f"  spectral-oracle: {_AGREE[p['cross_checks']['spectral_oracle']]}"
 
 
-def _cmd_homology(args: argparse.Namespace) -> dict[str, Any]:
+def _homology(args: argparse.Namespace) -> dict[str, Any]:
     group = h1_total_space(_load_bundle(args.bundle_file))
-    return {
-        "h1": str(group),
-        "free_rank": group.free_rank,
-        "invariant_factors": list(group.invariant_factors),
-        "b1": group.free_rank,
-        "b2": 2 * group.free_rank - 2,
-    }
+    # "h1" holds the group itself: run turns it into text for both formats, with the digit limit raised
+    return {**_plain(group), "h1": group, "b1": group.free_rank, "b2": 2 * group.free_rank - 2}
 
 
-def _text_homology(p: dict[str, Any], args: argparse.Namespace) -> list[str]:
-    return [
-        f"H1(E) = {p['h1']}",
-        f"invariant factors: {p['invariant_factors']}",
-        f"b1 = {p['b1']}",
-        f"b2 = {p['b2']}",
-    ]
+def _homology_text(p: dict[str, Any], args: argparse.Namespace) -> Iterator[str]:
+    yield f"H1(E) = {p['h1']}"
+    yield f"invariant factors: {p['invariant_factors']}"
+    yield f"b1 = {p['b1']}"
+    yield f"b2 = {p['b2']}"
 
 
-def _cmd_spectral(args: argparse.Namespace) -> dict[str, Any]:
+def _spectral(args: argparse.Namespace) -> dict[str, Any]:
     bundle = _load_bundle(args.bundle_file)
     ranks = e2_ranks(bundle.genus, bundle.monodromy)
     _, b2 = betti(bundle)
     return {
-        **_fields(ranks),
+        **_plain(ranks),
         "fiber_class_nonzero": ranks.fiber_class_nonzero(b2),
         "surface_relation_holds": bundle.surface_relation_holds(),
     }
 
 
-def _text_spectral(p: dict[str, Any], args: argparse.Namespace) -> list[str]:
-    lines = [
-        "E2 ranks (rows q = 2, 1, 0; columns p = 0, 1, 2):",
-        f"  q=2: {p['rank_e02']} {p['rank_e10']} {p['rank_e22']}",
-        f"  q=1: {p['rank_e01']} {p['rank_e11']} {p['rank_e21']}",
-        f"  q=0: {p['rank_e00']} {p['rank_e10']} {p['rank_e20']}",
-        f"rank E11 = {p['rank_e11']} (depends only on monodromy)",
-        f"fiber class nonzero (b2 == 2 + rank E11): {_yesno(p['fiber_class_nonzero'])}",
-    ]
+def _spectral_text(p: dict[str, Any], args: argparse.Namespace) -> Iterator[str]:
+    yield "E2 ranks (rows q = 2, 1, 0; columns p = 0, 1, 2):"
+    yield f"  q=2: {p['rank_e02']} {p['rank_e10']} {p['rank_e22']}"
+    yield f"  q=1: {p['rank_e01']} {p['rank_e11']} {p['rank_e21']}"
+    yield f"  q=0: {p['rank_e00']} {p['rank_e10']} {p['rank_e20']}"
+    yield f"rank E11 = {p['rank_e11']} (depends only on monodromy)"
+    yield f"fiber class nonzero (b2 == 2 + rank E11): {_YES[p['fiber_class_nonzero']]}"
     if not p["surface_relation_holds"]:
-        lines.append("warning: monodromy violates the surface relation; no fibration realizes this tuple")
-    return lines
+        yield "warning: monodromy violates the surface relation; no fibration realizes this tuple"
 
 
-def _cmd_swpoly(args: argparse.Namespace) -> dict[str, Any]:
-    try:
-        poly = sw_poly_circle_bundle(args.genus, args.n)
-    except ValueError as exc:
-        raise _CliInputError(str(exc)) from None
+def _swpoly(args: argparse.Namespace) -> dict[str, Any]:
+    poly = sw_poly_circle_bundle(args.genus, args.n)
     return {
+        **_plain(poly),
         "genus": args.genus,
         "n": args.n,
-        "modulus": poly.modulus,
-        "coefficients": list(poly.coefficients),
         "polynomial": poly.render(),
         "sign_convention": SIGN_CONVENTION,
     }
 
 
-def _text_swpoly(p: dict[str, Any], args: argparse.Namespace) -> list[str]:
-    return [
-        f"SW polynomial of the circle bundle: genus {p['genus']}, euler number {p['n']}",
-        f"modulus: {p['modulus']}",
-        f"polynomial: {p['polynomial']}",
-        f"coefficients: {p['coefficients']}",
-        f"note: {p['sign_convention']}",
-    ]
+def _swpoly_text(p: dict[str, Any], args: argparse.Namespace) -> Iterator[str]:
+    yield f"SW polynomial of the circle bundle: genus {p['genus']}, euler number {p['n']}"
+    yield f"modulus: {p['modulus']}"
+    yield f"polynomial: {p['polynomial']}"
+    yield f"coefficients: {p['coefficients']}"
+    yield f"note: {p['sign_convention']}"
 
 
-def _cmd_sw0(args: argparse.Namespace) -> dict[str, Any]:
-    try:
-        coset = sw4_zero_coset(args.genus, args.m, args.n)
-    except ValueError as exc:
-        raise _CliInputError(str(exc)) from None
-    closed: int | None
+def _sw0(args: argparse.Namespace) -> dict[str, Any]:
+    coset = sw4_zero_coset(args.genus, args.m, args.n)
     try:
         closed = sw4_zero_closed(args.genus, args.m, args.n)
     except UnsupportedParityError:
@@ -210,45 +170,60 @@ def _cmd_sw0(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def _text_sw0(p: dict[str, Any], args: argparse.Namespace) -> list[str]:
+def _sw0_text(p: dict[str, Any], args: argparse.Namespace) -> Iterator[str]:
     closed = p["closed_route"]
-    return [
-        f"degree-zero SW invariant: genus {p['genus']}, m {p['m']}, n {p['n']}",
-        f"coset route: {p['coset_route']}",
-        (
-            f"closed route: {closed}"
-            if closed is not None
-            else "closed route: unavailable (even n with odd m; the coset route is definitive)"
-        ),
-        f"routes agree: {'n/a' if closed is None else _yesno(p['routes_agree'])}",
-        f"value even: {_yesno(p['even'])}",
-        f"note: {p['sign_convention']}",
-    ]
+    yield f"degree-zero SW invariant: genus {p['genus']}, m {p['m']}, n {p['n']}"
+    yield f"coset route: {p['coset_route']}"
+    if closed is None:
+        yield "closed route: unavailable (even n with odd m; the coset route is definitive)"
+        yield "routes agree: n/a"
+    else:
+        yield f"closed route: {closed}"
+        yield f"routes agree: {_YES[p['routes_agree']]}"
+    yield f"value even: {_YES[p['even']]}"
+    yield f"note: {p['sign_convention']}"
 
 
-def _cmd_verify_parity(args: argparse.Namespace) -> dict[str, Any]:
+def _verify_parity(args: argparse.Namespace) -> dict[str, Any]:
     g_range = _parse_range(args.g, "--g")
     mn_range = _parse_range(args.mn, "--mn")
     if g_range.start < 2:
-        raise _CliInputError(f"--g range must start at 2 or above, got {args.g}")
-    report = parity_sweep(g_range, mn_range, mn_range)
-    return {
-        "cases": report.cases,
-        "skipped": report.skipped,
-        "all_even": report.all_even,
-        "counterexamples": [_fields(c) for c in report.counterexamples],
-    }
+        raise ValueError(f"--g range must start at 2 or above, got {args.g}")
+    return _plain(parity_sweep(g_range, mn_range, mn_range))
 
 
-def _text_verify_parity(p: dict[str, Any], args: argparse.Namespace) -> list[str]:
-    return [
-        f"parity sweep: g in {args.g}, m and n in {args.mn}",
-        f"cases evaluated: {p['cases']}",
-        f"cells skipped (m or n = 0): {p['skipped']}",
-        f"all values even: {_yesno(p['all_even'])}",
-        f"counterexamples: {len(p['counterexamples'])}",
-        *(f"  g={c['g']} m={c['m']} n={c['n']}: {c['kind']}: {c['detail']}" for c in p["counterexamples"]),
-    ]
+def _verify_parity_text(p: dict[str, Any], args: argparse.Namespace) -> Iterator[str]:
+    yield f"parity sweep: g in {args.g}, m and n in {args.mn}"
+    yield f"cases evaluated: {p['cases']}"
+    yield f"cells skipped (m or n = 0): {p['skipped']}"
+    yield f"all values even: {_YES[p['all_even']]}"
+    yield f"counterexamples: {len(p['counterexamples'])}"
+    yield from (f"  g={c['g']} m={c['m']} n={c['n']}: {c['kind']}: {c['detail']}" for c in p["counterexamples"])
+
+
+# argparse keyword arguments by flag; the --g and --mn ranges stay strings until the builder parses them
+_BUNDLE_FILE = {"bundle_file": {}}
+_INT = {"type": int, "required": True}
+_RANGES = {
+    "--g": {"required": True, "help": "inclusive genus range a..b"},
+    "--mn": {"required": True, "help": "inclusive range a..b applied to both m and n"},
+}
+
+# one row per subcommand: name, help, arguments, payload builder, text renderer
+COMMANDS = (
+    ("classify", "full classification report for a bundle file", _BUNDLE_FILE, _classify, _classify_text),
+    ("homology", "H1 invariant factors and Betti numbers", _BUNDLE_FILE, _homology, _homology_text),
+    ("spectral", "E2 ranks and the rank-based fiber-class verdict", _BUNDLE_FILE, _spectral, _spectral_text),
+    ("swpoly", "SW polynomial of a circle bundle", {"--genus": _INT, "--n": _INT}, _swpoly, _swpoly_text),
+    (
+        "sw0",
+        "degree-zero SW invariant by both routes",
+        {"--genus": _INT, "--m": _INT, "--n": _INT},
+        _sw0,
+        _sw0_text,
+    ),
+    ("verify-parity", "sweep the degree-zero invariant over a grid", _RANGES, _verify_parity, _verify_parity_text),
+)
 
 
 def _build_parser() -> _Parser:
@@ -257,84 +232,52 @@ def _build_parser() -> _Parser:
         description="Exact classification of symplectic torus bundles over genus >= 2 surfaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output(p: argparse.ArgumentParser, build: Callable, text: Callable) -> None:
+    for name, summary, arguments, build, text in COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for flag, spec in arguments.items():
+            p.add_argument(flag, **spec)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.set_defaults(build=build, text=text)
-
-    p = sub.add_parser("classify", help="full classification report for a bundle file")
-    p.add_argument("bundle_file")
-    add_output(p, _cmd_classify, _text_classify)
-
-    p = sub.add_parser("homology", help="H1 invariant factors and Betti numbers")
-    p.add_argument("bundle_file")
-    add_output(p, _cmd_homology, _text_homology)
-
-    p = sub.add_parser("spectral", help="E2 ranks and the rank-based fiber-class verdict")
-    p.add_argument("bundle_file")
-    add_output(p, _cmd_spectral, _text_spectral)
-
-    p = sub.add_parser("swpoly", help="SW polynomial of a circle bundle")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    add_output(p, _cmd_swpoly, _text_swpoly)
-
-    p = sub.add_parser("sw0", help="degree-zero SW invariant by both routes")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    add_output(p, _cmd_sw0, _text_sw0)
-
-    p = sub.add_parser("verify-parity", help="sweep the degree-zero invariant over a grid")
-    p.add_argument("--g", required=True, help="inclusive genus range a..b")
-    p.add_argument("--mn", required=True, help="inclusive range a..b applied to both m and n")
-    add_output(p, _cmd_verify_parity, _text_verify_parity)
-
     return parser
-
-
-_RANGE_FLAGS = ("--g", "--mn")
 
 
 def _merge_range_values(argv: Sequence[str]) -> list[str]:
     """Join range flags with their values so negative bounds survive argparse."""
     out: list[str] = []
-    i = 0
-    tokens = list(argv)
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok in _RANGE_FLAGS and i + 1 < len(tokens):
-            out.append(f"{tok}={tokens[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
+    tokens = iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in _RANGES else None
+        out.append(tok if value is None else f"{tok}={value}")
     return out
 
 
 def run(argv: Sequence[str]) -> int:
     """Dispatch one invocation; returns the process exit code."""
-    parser = _build_parser()
+    limit = sys.get_int_max_str_digits()
     try:
-        args = parser.parse_args(_merge_range_values(argv))
+        args = _build_parser().parse_args(_merge_range_values(argv))
         payload = args.build(args)
+        # The bundle parsed under the digit limit L, so H1's 2-row relation matrix has entries of at most L + 1
+        # digits; d1*d2 divides each 2x2 minor, so an invariant factor has at most 2L + 1.  0 (no limit) stays 0.
+        sys.set_int_max_str_digits(limit and 2 * limit + 1)
         if args.format == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(json.dumps(payload, indent=2, sort_keys=True, default=str))
         else:
             print("\n".join(args.text(payload, args)))
         if payload.get("routes_agree") is False:  # sw0's closed route contradicts its coset route
             print("internal inconsistency: evaluation routes disagree", file=sys.stderr)
             return 2
         return 2 if payload.get("counterexamples") else 0  # verify-parity found an odd value or a disagreement
-    except SystemExit as exc:  # argparse --help
-        code = exc.code
-        return int(code) if isinstance(code, int) else 0
-    except (_CliInputError, ParseError, ValidationError, UnsupportedParityError) as exc:
+    except SystemExit:  # argparse --help
+        return 0
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main() -> int:

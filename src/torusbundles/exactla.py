@@ -81,19 +81,6 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls([[0] * cols for _ in range(rows)], cols=cols)
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
-        cols = [tuple(c) for c in columns]
-        if cols:
-            height = len(cols[0])
-            if any(len(c) != height for c in cols):
-                raise ValueError("ragged columns")
-            if rows is not None and rows != height:
-                raise ValueError("rows disagrees with column length")
-        else:
-            height = 0 if rows is None else rows
-        return cls(cols, cols=height).transpose()
-
     @property
     def rows(self) -> int:
         return len(self._entries)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .bundle import TorusBundle, fixed_sublattice
+from .bundle import TorusBundle, fixed_sublattice, require_genus
 from .exactla import AbelianGroup, IntMatrix, cokernel_structure, stack_columns
 
 
@@ -49,8 +49,7 @@ def h1_circle_bundle(g: int, n: int) -> AbelianGroup:
     Presented as <b_1..b_2g, x | n*x> where x is the fiber class, so the
     result is Z^2g (+) Z_|n|, the torsion summand turning free when n = 0.
     """
-    if g < 2:
-        raise ValueError(f"genus {g} is below the supported range (need g >= 2)")
+    require_genus(g)
     if n == 0:
         return AbelianGroup(free_rank=2 * g + 1)
     if abs(n) == 1:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ._record import Record
-from .bundle import SL2Z, TorusBundle
+from .bundle import SL2Z, TorusBundle, require_genus
 from .exactla import IntMatrix, rank
 from .homology import betti
 
@@ -58,8 +58,7 @@ def surface_relator(g: int) -> tuple[int, ...]:
 
 def _validate_monodromy(g: int, monodromy: Sequence[SL2Z]) -> tuple[SL2Z, ...]:
     mats = tuple(monodromy)
-    if g < 2:
-        raise ValueError(f"genus {g} is below the supported range (need g >= 2)")
+    require_genus(g)
     if len(mats) != 2 * g:
         raise ValueError(f"expected {2 * g} monodromy matrices, got {len(mats)}")
     return mats

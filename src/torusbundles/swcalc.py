@@ -30,6 +30,7 @@ from math import gcd
 from typing import Iterable
 
 from ._record import Record
+from .bundle import require_genus
 from .exactla import binomial
 
 
@@ -115,18 +116,13 @@ def product_sw_coefficients(g: int) -> tuple[int, ...]:
     requirement that folding it mod n reproduces the circle-bundle
     polynomial for every n.
     """
-    _require_genus(g)
+    require_genus(g)
     out = []
     for s in range(-(g - 1), g):
         q = (g - 1) + s
         c = binomial(2 * g - 2, q)
         out.append(c if q % 2 == 0 else -c)
     return tuple(out)
-
-
-def _require_genus(g: int) -> None:
-    if g < 2:
-        raise ValueError(f"genus {g} is below the supported range (need g >= 2)")
 
 
 def _require_nonzero(n: int) -> None:
@@ -157,7 +153,7 @@ def sw_poly_circle_bundle(g: int, n: int) -> SWPolynomial:
     coefficient sign(n) * sum_k (-1)^q C(2g-2, q), q = (g-1) + i + k|l|; for
     odd n the same sum with |l| replaced by |n| lands at index i directly.
     """
-    _require_genus(g)
+    require_genus(g)
     _require_nonzero(n)
     sign = _sign(n)
     modulus = abs(n)
@@ -179,7 +175,7 @@ def fold_product_poly(g: int, n: int) -> SWPolynomial:
     2*(s mod |l|).  The sign(n) normalization matches the direct formula, so
     the two routes must agree coefficient for coefficient.
     """
-    _require_genus(g)
+    require_genus(g)
     _require_nonzero(n)
     sign = _sign(n)
     modulus = abs(n)
@@ -224,7 +220,7 @@ def _inner_sums(g: int, m: int, n: int, form: str) -> int:
     (else UnsupportedParityError naming the form) and sums over the
     half-indices of the even residues with step |n/2|.
     """
-    _require_genus(g)
+    require_genus(g)
     _require_nonzero(n)
     d = gcd(abs(m), abs(n))
     if n % 2 != 0:
@@ -298,7 +294,7 @@ def parity_sweep(
     counterexamples: list[SweepCounterexample] = []
     all_even = True
     for g in gs:
-        _require_genus(g)
+        require_genus(g)
         for m in ms:
             for n in ns:
                 if m == 0 or n == 0:

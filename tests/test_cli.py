@@ -201,6 +201,45 @@ class TestInputErrors:
         assert run(["--help"]) == 0
 
 
+class TestDigitLimit:
+    HUGE_FACTOR = Path(__file__).parent / "golden" / "bundles" / "huge_factor.json"
+
+    def test_homology_prints_a_factor_beyond_the_digit_limit(self, capsys):
+        """The bundle parses under the limit; its H1 factor lcm(N, M) has about twice as many digits."""
+        limit = sys.get_int_max_str_digits()
+        assert run(["homology", str(self.HUGE_FACTOR), "--format=json"]) == 0
+        factors = capsys.readouterr().out.split('"invariant_factors": [')[1].split("]")[0]
+        assert limit < len(factors.strip()) <= 2 * limit + 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["homology", str(HUGE_FACTOR)],
+            ["homology", str(HUGE_FACTOR), "--format=json"],
+            ["classify", "/no/such/file.json"],
+            ["swpoly", "--genus", "1", "--n", "3"],
+            ["--help"],
+        ],
+    )
+    def test_run_restores_the_digit_limit(self, argv, capsys):
+        before = sys.get_int_max_str_digits()
+        run(argv)
+        assert sys.get_int_max_str_digits() == before
+
+    def test_run_restores_the_digit_limit_when_rendering_raises(self, monkeypatch, capsys):
+        class Unprintable:
+            def __format__(self, spec):
+                raise RuntimeError("cannot render")
+
+        odd = SweepCounterexample(2, 1, 3, 7, "odd-value", Unprintable())
+        report = SweepReport(cases=1, skipped=0, all_even=False, counterexamples=(odd,))
+        monkeypatch.setattr(torusbundles.cli, "parity_sweep", lambda g, m, n: report)
+        before = sys.get_int_max_str_digits()
+        with pytest.raises(RuntimeError, match="cannot render"):
+            run(["verify-parity", "--g", "2..2", "--mn", "1..3"])
+        assert sys.get_int_max_str_digits() == before
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     """Importing the CLI pulls in neither module; building the records with them dominated import time."""
     code = "import sys, torusbundles.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
