@@ -204,13 +204,6 @@ class TestInputErrors:
 class TestDigitLimit:
     HUGE_FACTOR = Path(__file__).parent / "golden" / "bundles" / "huge_factor.json"
 
-    def test_homology_prints_a_factor_beyond_the_digit_limit(self, capsys):
-        """The bundle parses under the limit; its H1 factor lcm(N, M) has about twice as many digits."""
-        limit = sys.get_int_max_str_digits()
-        assert run(["homology", str(self.HUGE_FACTOR), "--format=json"]) == 0
-        factors = capsys.readouterr().out.split('"invariant_factors": [')[1].split("]")[0]
-        assert limit < len(factors.strip()) <= 2 * limit + 1
-
     @pytest.mark.parametrize(
         "argv",
         [
