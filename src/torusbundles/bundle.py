@@ -89,7 +89,7 @@ class SL2Z(Record):
         return p * self * p.inverse()
 
     def minus_identity(self) -> IntMatrix:
-        return IntMatrix([[self.a - 1, self.b], [self.c, self.d - 1]])
+        return IntMatrix._trusted(((self.a - 1, self.b), (self.c, self.d - 1)), 2)
 
     def rows(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]

@@ -1,18 +1,15 @@
 """Exact integer linear algebra.
 
-Two Smith reductions serve different callers.  `snf` returns the diagonal
-together with both unimodular transforms; `integer_kernel` reads its right
-transform, so the fixed lattice behind the rule-based verdict runs on it.
-`_smith_diagonal` returns only the nonzero invariant factors and builds no
-transform; `rank` and `cokernel_structure` use it, and with them b1/b2, the
-Betti oracle and the E2 ranks of the spectral oracle.  The split keeps the
-rule route and the oracles on independent kernels, so every classification
-cross-checks one against the other, and the oracles no longer pay for
-transforms they never read.  The module also provides saturated integer
-kernels, cokernel structure of relation matrices, determinants, and
-binomial coefficients with an explicit out-of-range convention.  All
-arithmetic uses Python's unbounded integers; nothing in this package touches
-floating point.
+Three reductions that share no code serve different callers.  `snf` returns
+the Smith diagonal with both unimodular transforms; it is public and tested,
+but no classification calls it.  `integer_kernel` is a column echelon
+(Hermite) reduction that carries only the column transform, and the fixed
+lattice behind the rule-based verdict runs on it.  `_smith_diagonal` returns
+only the nonzero invariant factors; `rank` and `cokernel_structure` use it,
+and with them b1/b2, the Betti oracle and the spectral oracle's E2 ranks.
+So the rule route and the oracles reach every verdict on different kernels.
+The module also computes determinants and binomial coefficients, all with
+Python's unbounded integers; nothing in this package touches floating point.
 """
 
 from __future__ import annotations
@@ -343,28 +340,46 @@ def rank(m: IntMatrix) -> int:
 
 
 def _normalize_column_sign(column: Sequence[int]) -> tuple[int, ...]:
-    for x in column:
-        if x != 0:
-            if x < 0:
-                return tuple(-y for y in column)
-            break
-    return tuple(column)
+    first = next((x for x in column if x), 0)
+    return tuple(-x for x in column) if first < 0 else tuple(column)
 
 
 def integer_kernel(m: IntMatrix) -> IntMatrix:
     """Basis of the saturated lattice {v : m*v = 0}, one vector per column.
 
-    The basis columns come from the right transform of the Smith form, so the
-    returned lattice is automatically saturated and every vector primitive;
-    each column's sign is normalized so its first nonzero entry is positive.
+    Column echelon (Hermite) reduction, Cohen 2.4, carrying only the column
+    transform V: each column of m is extended by the matching column of the
+    identity, and row by row, gcd column operations leave one column with a
+    nonzero entry there, which is set aside as that row's pivot.  The columns
+    left have zero m part, and V is unimodular, so their V parts are a
+    saturated kernel basis.  Without a left transform a 4g x 2 stack costs a
+    constant number of column operations of length 4g + 2.  Each column's
+    sign is normalized so its first nonzero entry is positive.
     """
-    _, d, v = snf(m)
-    diag = d.diagonal()
-    kernel_indices = [
-        j for j in range(m.cols) if j >= len(diag) or diag[j] == 0
-    ]
-    columns = tuple(_normalize_column_sign(v.column(j)) for j in kernel_indices)
-    return IntMatrix._trusted(columns, m.cols).transpose()
+    nr, nc = m.rows, m.cols
+    live = [[*m.column(j), *(int(i == j) for i in range(nc))] for j in range(nc)]
+    for i in [i for i, row in enumerate(m.entries) if any(row)]:  # column operations keep a zero row zero
+        if not live:
+            break
+        hits = [c for c in live if c[i]]
+        if not hits:
+            continue
+        hits.sort(key=lambda c: abs(c[i]))
+        pivot, live = hits[0], [c for c in live if c is not hits[0]]
+        for c in hits[1:]:
+            p, q = pivot[i], c[i]
+            if q % p == 0:
+                f = q // p
+                c[:] = [w - f * u for u, w in zip(pivot, c)]
+            else:
+                g, x, y = xgcd(p, q)
+                p, q = p // g, q // g
+                pivot[:], c[:] = (
+                    [x * u + y * w for u, w in zip(pivot, c)],
+                    [p * w - q * u for u, w in zip(pivot, c)],
+                )
+    columns = tuple(_normalize_column_sign(c[nr:]) for c in live)
+    return IntMatrix._trusted(columns, nc).transpose()
 
 
 def cokernel_structure(m: IntMatrix) -> AbelianGroup:

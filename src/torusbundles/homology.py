@@ -30,7 +30,7 @@ def fiber_relation_matrix(b: TorusBundle) -> IntMatrix:
     blocks = [m.minus_identity() for m in b.monodromy]
     matrix = stack_columns(blocks)
     if b.euler != (0, 0):
-        matrix = stack_columns([matrix, IntMatrix([[b.euler[0]], [b.euler[1]]])])
+        matrix = stack_columns([matrix, IntMatrix._trusted(((b.euler[0],), (b.euler[1],)), 1)])
     return matrix
 
 

@@ -61,6 +61,8 @@ def _validate_monodromy(g: int, monodromy: Sequence[SL2Z]) -> tuple[SL2Z, ...]:
     require_genus(g)
     if len(mats) != 2 * g:
         raise ValueError(f"expected {2 * g} monodromy matrices, got {len(mats)}")
+    if not all(isinstance(m, SL2Z) for m in mats):  # the Fox matrices are built unchecked from their entries
+        raise ValueError("monodromy entries must be SL2Z values")
     return mats
 
 
@@ -119,7 +121,8 @@ def fox_boundary_matrices(g: int, monodromy: Sequence[SL2Z]) -> tuple[IntMatrix,
             for c in range(2):
                 d2_rows[2 * j + r][c] = block[r][c]
 
-    return IntMatrix(d2_rows, cols=2), IntMatrix(d1_rows, cols=4 * g)
+    d2 = IntMatrix._trusted(tuple(map(tuple, d2_rows)), 2)
+    return d2, IntMatrix._trusted(tuple(map(tuple, d1_rows)), 4 * g)
 
 
 def e2_ranks(g: int, monodromy: Sequence[SL2Z]) -> E2Ranks:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 import sys
 
-from torusbundles import SL2Z, TorusBundle, fixed_sublattice
+from torusbundles import SL2Z, IntMatrix, TorusBundle, fixed_sublattice, snf
 
 IDENTITY = SL2Z.identity()
 UPPER = SL2Z(1, 1, 0, 1)
@@ -129,3 +129,11 @@ def count_calls(monkeypatch, fn) -> list:
 
     replace_everywhere(monkeypatch, fn, counted)
     return calls
+
+
+def snf_kernel(m: IntMatrix) -> IntMatrix:
+    """Saturated kernel basis read off snf's right transform, the reference for integer_kernel."""
+    _, d, v = snf(m)
+    diag = d.diagonal()
+    keep = [j for j in range(m.cols) if j >= len(diag) or diag[j] == 0]
+    return IntMatrix([[v[i, j] for j in keep] for i in range(m.cols)], cols=len(keep))

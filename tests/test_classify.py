@@ -5,6 +5,7 @@ import pytest
 from torusbundles import (
     AbelianGroup,
     E2Ranks,
+    IntMatrix,
     InternalInconsistencyError,
     ProductH1Class,
     ProductH2Class,
@@ -16,6 +17,7 @@ from torusbundles import (
     fiber_class_nonzero,
     fiber_class_via_spectral,
     h1_total_space,
+    integer_kernel,
     invariant_symplectic_exists,
     is_symplectic,
     snf,
@@ -135,15 +137,17 @@ class TestIsSymplectic:
 
 
 class TestKernelSplit:
-    """The rule route runs on snf (via integer_kernel), both oracles on the transform-free diagonal."""
+    """The rule route runs on the Hermite kernel (integer_kernel), both oracles on the Smith diagonal."""
 
-    def test_only_the_fixed_lattice_builds_smith_transforms(self, monkeypatch):
+    def test_no_smith_transform_is_built(self, monkeypatch):
         b = bundle([UPPER, IDENTITY, IDENTITY, UPPER.inverse()], euler=(2, 0))
         assert b.surface_relation_holds()  # so the spectral oracle runs too
         snf_calls = count_calls(monkeypatch, snf)
+        kernel_calls = count_calls(monkeypatch, integer_kernel)
         diagonal_calls = count_calls(monkeypatch, exactla._smith_diagonal)
         assert is_symplectic(b).cross_checks.all_pass()
-        assert len(snf_calls) == 1  # the fixed lattice
+        assert len(snf_calls) == 0
+        assert len(kernel_calls) == 1  # the fixed lattice
         assert len(diagonal_calls) == 4  # H1 of the bundle and of its flat twin, Fox D1 and D2
 
     def test_a_wrong_diagonal_kernel_is_caught(self, monkeypatch):
@@ -152,6 +156,14 @@ class TestKernelSplit:
         # a kernel that reads every matrix as zero gives the bundle and its flat twin the same b1
         monkeypatch.setattr(exactla, "_smith_diagonal", lambda m: [])
         with pytest.raises(InternalInconsistencyError, match="^betti oracle \\(True\\) disagrees"):
+            is_symplectic(b)
+
+    def test_a_wrong_hermite_kernel_is_caught(self, monkeypatch):
+        b = bundle([UPPER, IDENTITY, IDENTITY, UPPER.inverse()], euler=(0, 2))
+        assert not is_symplectic(b).symplectic
+        # an empty fixed lattice turns the rule verdict to "no circle action, symplectic"
+        replace_everywhere(monkeypatch, integer_kernel, lambda m: IntMatrix.zeros(m.cols, 0))
+        with pytest.raises(InternalInconsistencyError, match="^betti oracle \\(False\\) disagrees"):
             is_symplectic(b)
 
 

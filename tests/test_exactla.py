@@ -17,6 +17,8 @@ from torusbundles import (
 )
 from torusbundles.exactla import _smith_diagonal
 
+from support import snf_kernel
+
 
 def random_matrix(rng, max_dim=6, bound=9):
     nr = rng.randint(0, max_dim)
@@ -243,3 +245,63 @@ class TestSmithDiagonal:
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 2), (1, 257), (257, 1)])
     def test_empty_and_zero_matrices(self, shape):
         assert _smith_diagonal(IntMatrix.zeros(*shape)) == []
+
+
+def _sympy_hermite(k):
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    return hermite_normal_form(Matrix(k.rows, k.cols, [x for row in k.entries for x in row]))
+
+
+@st.composite
+def _kernel_matrices(draw):
+    """4g x 2 stacks (g <= 64), 2 x N and 1 x N (N <= 40), small squares, empty and zero.
+
+    Stacks and squares are rank-deficient half the time, since a random one has no kernel.  Every
+    choice comes from a drawn Random: hypothesis' own choices favour the smallest shapes.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    shape = rng.choice(["stack", "stack", "wide", "row", "square", "zero"])
+    bound = 0 if shape == "zero" else rng.choice([1, 3, 10**6, 10**30])
+    density = rng.choice([0.1, 0.5, 1.0])
+    deficient = rng.random() < 0.5
+
+    def entry(b=bound):
+        return rng.randint(-b, b) if rng.random() < density else 0
+
+    if shape == "stack":
+        rows = 4 * rng.randint(0, 64)
+        if deficient:
+            a, b = entry(), entry()
+            # every row a multiple of (b, -a) kills (a, b)
+            return IntMatrix([[t * b, -t * a] for t in (entry(9) for _ in range(rows))], cols=2)
+        return IntMatrix([[entry(), entry()] for _ in range(rows)], cols=2)
+    if shape in ("wide", "row"):
+        rows, cols = (2 if shape == "wide" else 1), rng.randint(0, 40)
+        return IntMatrix([[entry() for _ in range(cols)] for _ in range(rows)], cols=cols)
+    n = rng.randint(0, 5)
+    cols = n if shape == "square" else rng.randint(0, 5)
+    if shape == "square" and deficient and n:
+        k = rng.randint(0, n - 1)
+        left = IntMatrix([[entry() for _ in range(k)] for _ in range(n)], cols=k)
+        right = IntMatrix([[entry(9) for _ in range(n)] for _ in range(k)], cols=n)
+        return left @ right
+    return IntMatrix([[entry() for _ in range(cols)] for _ in range(n)], cols=cols)
+
+
+class TestHermiteKernel:
+    """integer_kernel, the rule route's kernel, against rank, the Smith diagonal and sympy's Hermite form."""
+
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(_kernel_matrices())
+    def test_annihilating_saturated_and_equal_to_the_snf_kernel(self, m):
+        k = integer_kernel(m)
+        assert k.rows == m.cols
+        assert (m @ k).is_zero()
+        assert rank(m) + k.cols == m.cols
+        assert _smith_diagonal(k) == [1] * k.cols  # saturated: Z^cols / lattice is torsion-free
+        reference = snf_kernel(m)
+        assert k.cols == reference.cols
+        if k.cols:
+            assert _sympy_hermite(k) == _sympy_hermite(reference)

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from torusbundles import (
     TorusBundle,
     betti,
@@ -42,6 +44,11 @@ class TestRelator:
 
 
 class TestBoundaryMatrices:
+    def test_rejects_monodromy_that_is_not_sl2z(self):
+        # the Fox matrices are built from the entries without a second check, so only SL2Z values get in
+        with pytest.raises(ValueError, match="SL2Z"):
+            fox_boundary_matrices(2, [[[1, 0], [0, 1]]] * 4)
+
     def test_trivial_monodromy_gives_zero_maps(self):
         d2, d1 = fox_boundary_matrices(2, (IDENTITY,) * 4)
         assert d1.is_zero()
