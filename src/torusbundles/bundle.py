@@ -50,7 +50,7 @@ class SL2Z(Record):
     d: int
 
     def __init__(self, a: int, b: int, c: int, d: int):
-        # one __dict__ update, not Record's constructor: classifying a genus-64 bundle builds 50,000 of these
+        # the checked boundary for matrices from outside; the package derives the rest with _trusted
         for x in (a, b, c, d):
             if isinstance(x, bool) or not isinstance(x, int):
                 raise ValidationError(f"matrix entry {x!r} is not an integer")
@@ -60,8 +60,15 @@ class SL2Z(Record):
         self.__dict__.update(a=a, b=b, c=c, d=d)
 
     @classmethod
+    def _trusted(cls, a: int, b: int, c: int, d: int) -> "SL2Z":
+        """Wrap integers of determinant 1 derived from checked matrices, skipping the check."""
+        m = object.__new__(cls)
+        m.__dict__.update(a=a, b=b, c=c, d=d)
+        return m
+
+    @classmethod
     def identity(cls) -> "SL2Z":
-        return cls(1, 0, 0, 1)
+        return cls._trusted(1, 0, 0, 1)
 
     @property
     def det(self) -> int:
@@ -72,7 +79,9 @@ class SL2Z(Record):
         return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
 
     def __mul__(self, other: "SL2Z") -> "SL2Z":
-        return SL2Z(
+        if not isinstance(other, SL2Z):
+            return NotImplemented
+        return SL2Z._trusted(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -80,7 +89,7 @@ class SL2Z(Record):
         )
 
     def inverse(self) -> "SL2Z":
-        return SL2Z(self.d, -self.b, -self.c, self.a)
+        return SL2Z._trusted(self.d, -self.b, -self.c, self.a)
 
     def apply(self, v: tuple[int, int]) -> tuple[int, int]:
         return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])

@@ -145,7 +145,7 @@ def _alternating_binomial_sum(g: int, i: int, step: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # at least one genus row of n-values, which parity_sweep revisits for every m
 def sw_poly_circle_bundle(g: int, n: int) -> SWPolynomial:
     """Seiberg-Witten polynomial of the circle bundle with Euler number n over genus g.
 
