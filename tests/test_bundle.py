@@ -1,5 +1,6 @@
 import json
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from torusbundles import (
     parse_bundle,
     relation_sublattice,
     serialize_bundle,
+    xgcd,
 )
 
 from support import (
@@ -45,6 +47,49 @@ class TestSL2Z:
 
     def test_apply(self):
         assert UPPER.apply((0, 1)) == (1, 1)
+
+    def test_product_with_a_non_sl2z_is_a_type_error(self):
+        class FloatEntries:
+            a, b, c, d = 1.0, 0.5, 0.0, 1.0
+
+        for other in (3, FloatEntries()):
+            with pytest.raises(TypeError):
+                UPPER * other
+
+
+@st.composite
+def _big_sl2z(draw):
+    """A checked SL(2,Z) matrix with entries up to 10**50: a primitive column (a, c) completed by Bezout."""
+    a, c = draw(st.integers(-(10**50), 10**50)), draw(st.integers(-(10**50), 10**50))
+    g = gcd(a, c) or 1
+    a, c = (a // g, c // g) if a or c else (1, 0)
+    _, x, y = xgcd(a, c)
+    return SL2Z(a, -y, c, x)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(_big_sl2z(), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=8),
+)
+def test_trusted_arithmetic_stays_in_sl2z(generators, word):
+    """Products, inverses, conjugates and the identity are built without the determinant check; each must
+    still have determinant 1 and equal its rebuild through the checked constructor."""
+    acc = SL2Z.identity()
+    derived, letters = [acc], []
+    for i, inverted in word:
+        m = generators[i % len(generators)]
+        m = m.inverse() if inverted else m
+        letters.append(m)
+        acc = acc * m
+        derived += [m, acc, acc.inverse(), m.conjugate(acc), acc.conjugate(m)]
+    for m in derived:
+        assert m.det == 1
+        assert SL2Z(m.a, m.b, m.c, m.d) == m
+    undo = SL2Z.identity()
+    for m in reversed(letters):
+        undo = undo * m.inverse()
+    assert acc * undo == SL2Z.identity() == undo * acc
 
 
 class TestParsing:

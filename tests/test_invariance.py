@@ -9,7 +9,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusbundles import SL2Z, TorusBundle, betti, h1_total_space, is_symplectic
+from torusbundles import (
+    SL2Z,
+    TorusBundle,
+    betti,
+    e2_ranks,
+    h1_total_space,
+    is_symplectic,
+    relation_sublattice,
+)
 
 from support import random_valid_bundle
 
@@ -49,3 +57,30 @@ def test_reversing_the_fiber_orientation(drawn):
     b, _ = drawn
     flipped = TorusBundle(b.genus, tuple(SL2Z(a.d, a.c, a.b, a.a) for a in b.monodromy), b.euler[::-1])
     assert _answers(flipped) == _answers(b)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_bundles())
+def test_nielsen_moves_on_the_base(drawn):
+    """A Dehn twist on the base acts on its generators by a Nielsen move, B_i -> B_i A_i or A_i -> A_i B_i;
+    pulling the bundle back along the twist gives a diffeomorphic total space with the moved monodromy.
+
+    How (m, n) is carried: the total space's group is generated by lifts a~_i, b~_i of the base generators
+    and the fiber Z^2, with the relator lifting to prod [a~_i, b~_i] = (m, n).  The moves are the free-group
+    identities [a, ba] = a b a a^-1 a^-1 b^-1 = [a, b] and [ab, b] = a b b b^-1 a^-1 b^-1 = [a, b], so the
+    moved lifts satisfy the same lifted relator word for word: (m, n) is carried unchanged, not merely
+    modulo the relation span.  That span {(A_i - I)x} is unchanged too, since B_i = (B_i A_i) A_i^-1 and
+    A_i = (A_i B_i) B_i^-1 keep the image group.  So H1 with its torsion, b2, the verdict, the rule and
+    rank E11 (the twisted H1 of the base, which an automorphism of the group preserves) all stay.
+    """
+    b, rng = drawn
+    mats = list(b.monodromy)
+    for _ in range(rng.randint(1, 4)):
+        i = 2 * rng.randrange(b.genus)
+        a, bb = mats[i], mats[i + 1]
+        mats[i : i + 2] = (a, bb * a) if rng.random() < 0.5 else (a * bb, bb)
+    moved = TorusBundle(b.genus, tuple(mats), b.euler)
+    assert moved.surface_relation_holds()
+    assert relation_sublattice(moved) == relation_sublattice(b)
+    assert _answers(moved) == _answers(b)
+    assert e2_ranks(b.genus, moved.monodromy).rank_e11 == e2_ranks(b.genus, b.monodromy).rank_e11

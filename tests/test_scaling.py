@@ -1,10 +1,19 @@
-"""How the rule route's fixed lattice scales with the genus, measured in bytes rather than seconds."""
+"""How classification scales with the genus, measured in bytes and counts rather than seconds."""
 
 import tracemalloc
 
 import pytest
 
-from torusbundles import SL2Z, TorusBundle, fixed_sublattice, integer_kernel, relation_sublattice
+from torusbundles import (
+    SL2Z,
+    TorusBundle,
+    fixed_sublattice,
+    integer_kernel,
+    is_symplectic,
+    parse_bundle,
+    relation_sublattice,
+    serialize_bundle,
+)
 
 from support import IDENTITY, UPPER, replace_everywhere, snf_kernel
 
@@ -26,6 +35,25 @@ def _peak_bytes(b):
 def test_fixed_lattice_memory_is_linear_in_genus():
     # a 4g x 2 stack and a column reduction grow 4-fold from g = 50 to 200; a 4g x 4g transform grows 16-fold
     assert _peak_bytes(_one_unipotent(200)) / _peak_bytes(_one_unipotent(50)) <= 4.5
+
+
+@pytest.mark.parametrize("g", [2, 50, 200])
+def test_sl2z_is_checked_at_the_boundary_only(monkeypatch, g):
+    # products, inverses and the identity of checked matrices have determinant 1, so the Fox walk builds
+    # them unchecked; a check per product made 69 / 30,501 / 482,001 constructions at g = 2 / 50 / 200
+    b = _one_unipotent(g)
+    text = serialize_bundle(b)
+    calls, checked = [], SL2Z.__init__
+
+    def counted(self, *entries):
+        calls.append(entries)
+        checked(self, *entries)
+
+    monkeypatch.setattr(SL2Z, "__init__", counted)
+    is_symplectic(b)
+    assert calls == []
+    assert parse_bundle(text) == b
+    assert len(calls) == 2 * g
 
 
 @pytest.mark.slow

@@ -90,6 +90,13 @@ class TestPolynomial:
                 minus = sw_poly_circle_bundle(g, -n).coefficients
                 assert minus == tuple(-c for c in plus)
 
+    def test_cache_is_bounded(self):
+        maxsize = sw_poly_circle_bundle.cache_info().maxsize
+        assert maxsize >= 40  # parity_sweep revisits one genus row, 40 n-values on the default grid, per m
+        for k in range(maxsize + 1):
+            sw_poly_circle_bundle(2 + k // 200, 1 + k % 200)
+        assert sw_poly_circle_bundle.cache_info().currsize <= maxsize
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             sw_poly_circle_bundle(1, 3)
