@@ -66,27 +66,27 @@ def _validate_monodromy(g: int, monodromy: Sequence[SL2Z]) -> tuple[SL2Z, ...]:
     return mats
 
 
-def _fox_block(word: Sequence[int], j: int, mats: Sequence[SL2Z]) -> list[list[int]]:
+def _fox_block(word: Sequence[int], j: int, mats: Sequence[SL2Z], invs: Sequence[SL2Z]) -> list[list[int]]:
     """Coefficient block of the relator boundary at generator j.
 
     Accumulates the Fox derivative d(word)/dx_j with each group element w
     contributing through rho(w)^-1, sign-normalized so unipotent input
-    reproduces the difference block A - I.
+    reproduces the difference block A - I.  invs holds the inverses of mats,
+    computed once by the caller rather than at every positive letter.
     """
     res = [[0, 0], [0, 0]]
     prefix_inv = SL2Z.identity()
     for letter in word:
         idx = abs(letter) - 1
-        m = mats[idx]
         if letter > 0:
             if idx == j:
                 res[0][0] -= prefix_inv.a
                 res[0][1] -= prefix_inv.b
                 res[1][0] -= prefix_inv.c
                 res[1][1] -= prefix_inv.d
-            prefix_inv = m.inverse() * prefix_inv
+            prefix_inv = invs[idx] * prefix_inv
         else:
-            prefix_inv = m * prefix_inv
+            prefix_inv = mats[idx] * prefix_inv
             if idx == j:
                 res[0][0] += prefix_inv.a
                 res[0][1] += prefix_inv.b
@@ -105,10 +105,10 @@ def fox_boundary_matrices(g: int, monodromy: Sequence[SL2Z]) -> tuple[IntMatrix,
     """
     mats = _validate_monodromy(g, monodromy)
     relator = surface_relator(g)
+    invs = [m.inverse() for m in mats]
 
     d1_rows = [[0] * (4 * g) for _ in range(2)]
-    for j, m in enumerate(mats):
-        inv = m.inverse()
+    for j, inv in enumerate(invs):
         block = [[1 - inv.a, -inv.b], [-inv.c, 1 - inv.d]]
         for r in range(2):
             for c in range(2):
@@ -116,7 +116,7 @@ def fox_boundary_matrices(g: int, monodromy: Sequence[SL2Z]) -> tuple[IntMatrix,
 
     d2_rows = [[0, 0] for _ in range(4 * g)]
     for j in range(2 * g):
-        block = _fox_block(relator, j, mats)
+        block = _fox_block(relator, j, mats, invs)
         for r in range(2):
             for c in range(2):
                 d2_rows[2 * j + r][c] = block[r][c]
