@@ -149,7 +149,10 @@ class TorusBundle(Record):
         if isinstance(self.genus, bool) or not isinstance(self.genus, int):
             raise ValidationError(f"genus {self.genus!r} is not an integer")
         require_genus(self.genus)
-        object.__setattr__(self, "monodromy", tuple(self.monodromy))
+        try:
+            object.__setattr__(self, "monodromy", tuple(self.monodromy))
+        except TypeError:
+            raise ValidationError("monodromy must be a sequence of SL2Z values") from None
         if len(self.monodromy) != 2 * self.genus:
             raise ValidationError(
                 f"monodromy has {len(self.monodromy)} matrices, expected 2*genus = {_show(2 * self.genus)}"
@@ -157,7 +160,10 @@ class TorusBundle(Record):
         for i, m in enumerate(self.monodromy):
             if not isinstance(m, SL2Z):
                 raise ValidationError(f"monodromy[{i}] is not an SL2Z value")
-        m, n = self.euler
+        try:
+            m, n = self.euler
+        except (TypeError, ValueError):
+            raise ValidationError("euler must be a pair of integers (m, n)") from None
         for x in (m, n):
             if isinstance(x, bool) or not isinstance(x, int):
                 raise ValidationError(f"euler entry {x!r} is not an integer")

@@ -92,6 +92,34 @@ def test_trusted_arithmetic_stays_in_sl2z(generators, word):
     assert acc * undo == SL2Z.identity() == undo * acc
 
 
+class TestBundleBoundary:
+    @pytest.mark.parametrize(
+        "monodromy, euler, field",
+        [
+            ((IDENTITY,) * 4, 5, "euler"),
+            ((IDENTITY,) * 4, (1, 2, 3), "euler"),
+            ((IDENTITY,) * 4, (1,), "euler"),
+            ((IDENTITY,) * 4, None, "euler"),
+            (5, (0, 0), "monodromy"),
+            (None, (0, 0), "monodromy"),
+        ],
+        ids=["euler-int", "euler-triple", "euler-single", "euler-none", "monodromy-int", "monodromy-none"],
+    )
+    def test_malformed_fields_are_validation_errors(self, monodromy, euler, field):
+        with pytest.raises(ValidationError, match=field):
+            TorusBundle(2, monodromy, euler)
+
+    @pytest.mark.parametrize(
+        "euler, message",
+        [(5, "field euler must be an array [m, n]"), ([1, 2, 3], "field euler must be an array [m, n]")],
+    )
+    def test_document_messages_are_unchanged(self, euler, message):
+        text = json.dumps({"genus": 2, "monodromy": [[[1, 0], [0, 1]]] * 4, "euler": euler})
+        with pytest.raises(ParseError) as info:
+            parse_bundle(text)
+        assert str(info.value) == message
+
+
 class TestParsing:
     def test_trivial_bundle_accepted(self):
         text = json.dumps(
