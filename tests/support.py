@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import random
 import sys
+from math import gcd
 
-from torusbundles import SL2Z, IntMatrix, TorusBundle, fixed_sublattice, snf
+from torusbundles import SL2Z, IntMatrix, TorusBundle, fixed_sublattice, snf, xgcd
 
 IDENTITY = SL2Z.identity()
 UPPER = SL2Z(1, 1, 0, 1)
@@ -137,3 +138,52 @@ def snf_kernel(m: IntMatrix) -> IntMatrix:
     diag = d.diagonal()
     keep = [j for j in range(m.cols) if j >= len(diag) or diag[j] == 0]
     return IntMatrix([[v[i, j] for j in keep] for i in range(m.cols)], cols=len(keep))
+
+
+def _mul2(x: tuple, y: tuple) -> tuple:
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3], x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+def _inv2(x: tuple) -> tuple:
+    return (x[3], -x[1], -x[2], x[0])
+
+
+def reference_fox_matrices(g: int, monodromy) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Rows of (D2, D1) by the plain Fox walk, the reference for spectral.fox_boundary_matrices.
+
+    Works on (a, b, c, d) integer tuples and spells out the relator
+    a_1 b_1 a_1^-1 b_1^-1 ... itself, so it shares no code with the package's
+    walk or its SL2Z arithmetic.  Each generator x_j walks the whole relator
+    with the prefix inverse rho(w)^-1, recomputing the inverse of a matrix at
+    every positive letter: a positive x_j subtracts the prefix before the
+    letter, a negative one adds the prefix after it.
+    """
+    mats = [(m.a, m.b, m.c, m.d) for m in monodromy]
+    word = [letter for i in range(g) for letter in ((2 * i, 1), (2 * i + 1, 1), (2 * i, -1), (2 * i + 1, -1))]
+    d2: list[tuple[int, int]] = []
+    for j in range(2 * g):
+        block, prefix = [0, 0, 0, 0], (1, 0, 0, 1)
+        for idx, sign in word:
+            if sign > 0:
+                if idx == j:
+                    block = [s - p for s, p in zip(block, prefix)]
+                prefix = _mul2(_inv2(mats[idx]), prefix)
+            else:
+                prefix = _mul2(mats[idx], prefix)
+                if idx == j:
+                    block = [s + p for s, p in zip(block, prefix)]
+        d2 += [(block[0], block[1]), (block[2], block[3])]
+    d1_top, d1_bottom = [], []
+    for m in mats:
+        a, b, c, d = _inv2(m)
+        d1_top += [1 - a, -b]
+        d1_bottom += [-c, 1 - d]
+    return tuple(d2), (tuple(d1_top), tuple(d1_bottom))
+
+
+def sl2z_with_column(a: int, c: int) -> SL2Z:
+    """A checked SL(2,Z) matrix whose first column is (a, c) made primitive, completed by Bezout."""
+    g = gcd(a, c) or 1
+    a, c = (a // g, c // g) if a or c else (1, 0)
+    _, x, y = xgcd(a, c)
+    return SL2Z(a, -y, c, x)

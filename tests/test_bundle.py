@@ -1,6 +1,5 @@
 import json
 import random
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +15,6 @@ from torusbundles import (
     parse_bundle,
     relation_sublattice,
     serialize_bundle,
-    xgcd,
 )
 
 from support import (
@@ -26,6 +24,7 @@ from support import (
     random_arbitrary_monodromy,
     random_sl2z,
     random_valid_bundle,
+    sl2z_with_column,
 )
 
 
@@ -60,11 +59,7 @@ class TestSL2Z:
 @st.composite
 def _big_sl2z(draw):
     """A checked SL(2,Z) matrix with entries up to 10**50: a primitive column (a, c) completed by Bezout."""
-    a, c = draw(st.integers(-(10**50), 10**50)), draw(st.integers(-(10**50), 10**50))
-    g = gcd(a, c) or 1
-    a, c = (a // g, c // g) if a or c else (1, 0)
-    _, x, y = xgcd(a, c)
-    return SL2Z(a, -y, c, x)
+    return sl2z_with_column(draw(st.integers(-(10**50), 10**50)), draw(st.integers(-(10**50), 10**50)))
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

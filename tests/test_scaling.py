@@ -8,6 +8,7 @@ from torusbundles import (
     SL2Z,
     TorusBundle,
     fixed_sublattice,
+    fox_boundary_matrices,
     integer_kernel,
     is_symplectic,
     parse_bundle,
@@ -54,6 +55,35 @@ def test_sl2z_is_checked_at_the_boundary_only(monkeypatch, g):
     assert calls == []
     assert parse_bundle(text) == b
     assert len(calls) == 2 * g
+
+
+@pytest.mark.parametrize("g", [2, 50, 200])
+def test_fox_walk_inverts_each_matrix_once(monkeypatch, g):
+    # one inverse per monodromy matrix per build, shared by D1 and all 2g walks; inverting at every positive
+    # letter made 24 / 10,200 / 160,800 inverses per is_symplectic at g = 2 / 50 / 200
+    b = _one_unipotent(g)
+    inverses, products = [], []
+    inverse, product = SL2Z.inverse, SL2Z.__mul__
+
+    def counted_inverse(self):
+        inverses.append(self)
+        return inverse(self)
+
+    def counted_product(self, other):
+        products.append(other)
+        return product(self, other)
+
+    monkeypatch.setattr(SL2Z, "inverse", counted_inverse)
+    monkeypatch.setattr(SL2Z, "__mul__", counted_product)
+    fox_boundary_matrices(g, b.monodromy)
+    assert len(inverses) == 2 * g
+    inverses.clear()
+    products.clear()
+    is_symplectic(b)
+    assert len(inverses) == 4 * g  # surface_relation_holds inverts 2g more
+    # still quadratic: 2g walks of 4g letters, plus 4 per handle in surface_relation_holds; bringing the
+    # products to linear is the one-walk Fox walk's job
+    assert len(products) == 8 * g * g + 4 * g
 
 
 @pytest.mark.slow

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torusbundles import (
     TorusBundle,
@@ -21,8 +23,11 @@ from support import (
     IDENTITY,
     ROTATION,
     UPPER,
+    random_arbitrary_monodromy,
     random_sl2z,
     random_valid_monodromy,
+    reference_fox_matrices,
+    sl2z_with_column,
 )
 
 
@@ -171,3 +176,24 @@ class TestFiberClassViaSpectral:
             ranks = e2_ranks(g, b.monodromy)
             _, b2 = betti(b)
             assert b2 == ranks.rank_e20 + ranks.rank_e11 + ranks.rank_e02
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.booleans(),
+    st.integers(0, 2**32),
+    st.integers(-(10**50), 10**50),
+    st.integers(-(10**50), 10**50),
+)
+# random draws rarely exceed 2**64, so two examples pin conjugators with entries at 10**50
+@example(g=6, valid=True, seed=1, a=10**50, c=10**50 - 1)
+@example(g=5, valid=False, seed=2, a=-(10**50), c=7 * 10**49 + 3)
+def test_fox_matrices_match_the_reference_walk(g, valid, seed, a, c):
+    """D2 and D1 equal the plain walk that inverts a matrix at every positive letter, on relation-satisfying
+    and arbitrary tuples conjugated by a matrix with entries up to 10**50."""
+    draw = random_valid_monodromy if valid else random_arbitrary_monodromy
+    p = sl2z_with_column(a, c)
+    monodromy = tuple(m.conjugate(p) for m in draw(random.Random(seed), g))
+    d2, d1 = fox_boundary_matrices(g, monodromy)
+    assert (d2.entries, d1.entries) == reference_fox_matrices(g, monodromy)
