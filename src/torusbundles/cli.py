@@ -20,13 +20,7 @@ from .bundle import ParseError, TorusBundle, parse_bundle
 from .classify import InternalInconsistencyError, is_symplectic
 from .homology import betti, h1_total_space
 from .spectral import e2_ranks
-from .swcalc import (
-    UnsupportedParityError,
-    parity_sweep,
-    sw4_zero_closed,
-    sw4_zero_coset,
-    sw_poly_circle_bundle,
-)
+from .swcalc import parity_sweep, sw4_zero_routes, sw_poly_circle_bundle
 
 SIGN_CONVENTION = (
     "values are reported with the sign(n) normalization; "
@@ -153,11 +147,7 @@ def _swpoly_text(p: dict[str, Any], args: argparse.Namespace) -> Iterator[str]:
 
 
 def _sw0(args: argparse.Namespace) -> dict[str, Any]:
-    coset = sw4_zero_coset(args.genus, args.m, args.n)
-    try:
-        closed = sw4_zero_closed(args.genus, args.m, args.n)
-    except UnsupportedParityError:
-        closed = None
+    coset, closed = sw4_zero_routes(args.genus, args.m, args.n)
     return {
         "genus": args.genus,
         "m": args.m,

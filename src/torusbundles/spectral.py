@@ -31,16 +31,16 @@ from .homology import betti
 
 
 class E2Ranks(Record):
-    """Free ranks of the E2 entries feeding the fiber-class criterion."""
+    """Free ranks of the E2 entries feeding the fiber-class criterion; the four trivial corners default to 1."""
 
-    rank_e00: int
+    rank_e00: int = 1
     rank_e01: int
-    rank_e02: int
+    rank_e02: int = 1
     rank_e10: int
     rank_e11: int
-    rank_e20: int
+    rank_e20: int = 1
     rank_e21: int
-    rank_e22: int
+    rank_e22: int = 1
 
     def fiber_class_nonzero(self, b2: int) -> bool:
         """The rank criterion: the fiber class survives exactly when the total space has b2 = 2 + rank E11."""
@@ -49,11 +49,8 @@ class E2Ranks(Record):
 
 def surface_relator(g: int) -> tuple[int, ...]:
     """Relator word over signed 1-based letters: generator j is letter j+1, its inverse -(j+1)."""
-    word: list[int] = []
-    for i in range(g):
-        a, b = 2 * i + 1, 2 * i + 2
-        word.extend((a, b, -a, -b))
-    return tuple(word)
+    # the commutator [a_i, b_i] = a b a^-1 b^-1 with a = 2i + 1, b = 2i + 2
+    return tuple(x for a in range(1, 2 * g, 2) for x in (a, a + 1, -a, -a - 1))
 
 
 def _validate_monodromy(g: int, monodromy: Sequence[SL2Z]) -> tuple[SL2Z, ...]:
@@ -66,7 +63,7 @@ def _validate_monodromy(g: int, monodromy: Sequence[SL2Z]) -> tuple[SL2Z, ...]:
     return mats
 
 
-def _fox_block(word: Sequence[int], j: int, mats: Sequence[SL2Z], invs: Sequence[SL2Z]) -> list[list[int]]:
+def _fox_block(word: Sequence[int], j: int, mats: Sequence[SL2Z], invs: Sequence[SL2Z]) -> tuple[tuple[int, int], ...]:
     """Coefficient block of the relator boundary at generator j.
 
     Accumulates the Fox derivative d(word)/dx_j with each group element w
@@ -74,25 +71,25 @@ def _fox_block(word: Sequence[int], j: int, mats: Sequence[SL2Z], invs: Sequence
     reproduces the difference block A - I.  invs holds the inverses of mats,
     computed once by the caller rather than at every positive letter.
     """
-    res = [[0, 0], [0, 0]]
+    a = b = c = d = 0
     prefix_inv = SL2Z.identity()
     for letter in word:
         idx = abs(letter) - 1
         if letter > 0:
             if idx == j:
-                res[0][0] -= prefix_inv.a
-                res[0][1] -= prefix_inv.b
-                res[1][0] -= prefix_inv.c
-                res[1][1] -= prefix_inv.d
+                a -= prefix_inv.a
+                b -= prefix_inv.b
+                c -= prefix_inv.c
+                d -= prefix_inv.d
             prefix_inv = invs[idx] * prefix_inv
         else:
             prefix_inv = mats[idx] * prefix_inv
             if idx == j:
-                res[0][0] += prefix_inv.a
-                res[0][1] += prefix_inv.b
-                res[1][0] += prefix_inv.c
-                res[1][1] += prefix_inv.d
-    return res
+                a += prefix_inv.a
+                b += prefix_inv.b
+                c += prefix_inv.c
+                d += prefix_inv.d
+    return (a, b), (c, d)
 
 
 def fox_boundary_matrices(g: int, monodromy: Sequence[SL2Z]) -> tuple[IntMatrix, IntMatrix]:
@@ -106,23 +103,12 @@ def fox_boundary_matrices(g: int, monodromy: Sequence[SL2Z]) -> tuple[IntMatrix,
     mats = _validate_monodromy(g, monodromy)
     relator = surface_relator(g)
     invs = [m.inverse() for m in mats]
-
-    d1_rows = [[0] * (4 * g) for _ in range(2)]
-    for j, inv in enumerate(invs):
-        block = [[1 - inv.a, -inv.b], [-inv.c, 1 - inv.d]]
-        for r in range(2):
-            for c in range(2):
-                d1_rows[r][2 * j + c] = block[r][c]
-
-    d2_rows = [[0, 0] for _ in range(4 * g)]
-    for j in range(2 * g):
-        block = _fox_block(relator, j, mats, invs)
-        for r in range(2):
-            for c in range(2):
-                d2_rows[2 * j + r][c] = block[r][c]
-
-    d2 = IntMatrix._trusted(tuple(map(tuple, d2_rows)), 2)
-    return d2, IntMatrix._trusted(tuple(map(tuple, d1_rows)), 4 * g)
+    d1 = (
+        tuple(x for inv in invs for x in (1 - inv.a, -inv.b)),
+        tuple(x for inv in invs for x in (-inv.c, 1 - inv.d)),
+    )
+    d2 = tuple(row for j in range(2 * g) for row in _fox_block(relator, j, mats, invs))
+    return IntMatrix._trusted(d2, 2), IntMatrix._trusted(d1, 4 * g)
 
 
 def e2_ranks(g: int, monodromy: Sequence[SL2Z]) -> E2Ranks:
@@ -136,14 +122,10 @@ def e2_ranks(g: int, monodromy: Sequence[SL2Z]) -> E2Ranks:
     rank_d1 = rank(d1)
     rank_d2 = rank(d2)
     return E2Ranks(
-        rank_e00=1,
         rank_e01=2 - rank_d1,
-        rank_e02=1,
         rank_e10=2 * g,
         rank_e11=4 * g - rank_d1 - rank_d2,
-        rank_e20=1,
         rank_e21=2 - rank_d2,
-        rank_e22=1,
     )
 
 

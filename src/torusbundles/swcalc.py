@@ -20,7 +20,8 @@ for bundles whose Euler class misses the pullback torsion subgroup.  The
 closed form for even n sums the polynomial coefficients over the even
 residue subgroup, i.e. the inner binomial sums run over half-indices; that
 reading is forced by exact agreement with the coset evaluation.  For n even
-with m odd no closed form is offered and the coset route is the contract.
+with m odd no closed form is offered and the coset route is the contract;
+sw4_zero_routes evaluates both routes for the CLI and the parity sweep.
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ class ResidueSet(Record):
             raise ValueError("modulus must be >= 1")
         members = tuple(sorted(set(self.members)))
         object.__setattr__(self, "members", members)
-        for x in members:
-            if not 0 <= x < self.modulus:
-                raise ValueError(f"residue {x} outside [0, {self.modulus - 1}]")
+        if members[:1] != (0,) or members[-1] >= self.modulus:  # sorted, so the two ends bound every member
+            raise ValueError(f"members must include 0 and lie in [0, {self.modulus - 1}]")
         for x in members:
             for y in members:
                 if (x + y) % self.modulus not in members:
@@ -88,12 +88,7 @@ class SWPolynomial(Record):
         return all(c == 0 for c in self.coefficients)
 
     def render(self) -> str:
-        terms = []
-        for k, c in self.nonzero_terms():
-            if k == 0:
-                terms.append(str(c))
-            else:
-                terms.append(f"{c}*t^{k}")
+        terms = [str(c) if k == 0 else f"{c}*t^{k}" for k, c in self.nonzero_terms()]
         return " + ".join(terms) if terms else "0"
 
 
@@ -117,12 +112,8 @@ def product_sw_coefficients(g: int) -> tuple[int, ...]:
     polynomial for every n.
     """
     require_genus(g)
-    out = []
-    for s in range(-(g - 1), g):
-        q = (g - 1) + s
-        c = binomial(2 * g - 2, q)
-        out.append(c if q % 2 == 0 else -c)
-    return tuple(out)
+    # q = (g-1) + s runs over 0..2g-2
+    return tuple((-1) ** q * binomial(2 * g - 2, q) for q in range(2 * g - 1))
 
 
 def _require_nonzero(n: int) -> None:
@@ -157,14 +148,11 @@ def sw_poly_circle_bundle(g: int, n: int) -> SWPolynomial:
     _require_nonzero(n)
     sign = _sign(n)
     modulus = abs(n)
+    spacing = 2 if n % 2 == 0 else 1  # even n: index 2i, step |l|; odd n: index i, step |n|
+    step = modulus // spacing
     coeffs = [0] * modulus
-    if n % 2 == 0:
-        half = modulus // 2
-        for i in range(half):
-            coeffs[2 * i] = sign * _alternating_binomial_sum(g, i, half)
-    else:
-        for i in range(modulus):
-            coeffs[i] = sign * _alternating_binomial_sum(g, i, modulus)
+    for i in range(step):
+        coeffs[spacing * i] = sign * _alternating_binomial_sum(g, i, step)
     return SWPolynomial(modulus=modulus, coefficients=tuple(coeffs))
 
 
@@ -179,15 +167,11 @@ def fold_product_poly(g: int, n: int) -> SWPolynomial:
     _require_nonzero(n)
     sign = _sign(n)
     modulus = abs(n)
+    spacing = 2 if n % 2 == 0 else 1
+    step = modulus // spacing
     coeffs = [0] * modulus
-    cs = product_sw_coefficients(g)
-    for offset, c in enumerate(cs):
-        s = offset - (g - 1)
-        if n % 2 == 0:
-            half = modulus // 2
-            coeffs[2 * (s % half)] += sign * c
-        else:
-            coeffs[s % modulus] += sign * c
+    for s, c in enumerate(product_sw_coefficients(g), start=-(g - 1)):
+        coeffs[spacing * (s % step)] += sign * c
     return SWPolynomial(modulus=modulus, coefficients=tuple(coeffs))
 
 
@@ -199,10 +183,6 @@ def sw4_zero_coset(g: int, m: int, n: int) -> int:
     the definition-level evaluation and is total for every nonzero n.
     """
     poly = sw_poly_circle_bundle(g, n)
-    return _coset_sum(poly, m, n)
-
-
-def _coset_sum(poly: SWPolynomial, m: int, n: int) -> int:
     subgroup_m = cyclic_subgroup(m, n)
     subgroup_2m = cyclic_subgroup(2 * m, n)
     modulus = poly.modulus
@@ -236,15 +216,27 @@ def _inner_sums(g: int, m: int, n: int, form: str) -> int:
 def sw4_zero_closed(g: int, m: int, n: int) -> int:
     """Closed form for the degree-zero invariant.
 
-    sign(n) * |n| / (x * gcd(|m|,|n|)) times the inner sums, x in {1, 2}
-    according to whether doubling m doubles the gcd (never for odd n).
-    Even n requires even m.  Must equal sw4_zero_coset everywhere it is
-    defined.
+    sign(n) * |n| / gcd(|2m|,|n|) times the inner sums.  The prefactor is
+    |<2m>|, the order of the doubled subgroup; gcd(|2m|,|n|) is d or 2d for
+    d = gcd(|m|,|n|), according to whether doubling m doubles the gcd (never
+    for odd n).  Even n requires even m.  Must equal sw4_zero_coset
+    everywhere it is defined.
     """
-    inner = _inner_sums(g, m, n, "closed form")
-    d = gcd(abs(m), abs(n))
-    x = 1 if gcd(abs(2 * m), abs(n)) == d else 2
-    return _sign(n) * (abs(n) // (x * d)) * inner
+    inner = _inner_sums(g, m, n, "closed form")  # validates g and n before the gcd divides
+    return _sign(n) * (abs(n) // gcd(2 * m, n)) * inner
+
+
+def sw4_zero_routes(g: int, m: int, n: int) -> tuple[int, int | None]:
+    """The degree-zero invariant by both routes, as (coset, closed).
+
+    closed is None where the closed form is undefined (even n with odd m);
+    the coset route is total and is the value reported.
+    """
+    coset = sw4_zero_coset(g, m, n)
+    try:
+        return coset, sw4_zero_closed(g, m, n)
+    except UnsupportedParityError:
+        return coset, None
 
 
 def sw4_zero_nonpullback(g: int, m: int, n: int) -> int:
@@ -280,10 +272,10 @@ def parity_sweep(
 ) -> SweepReport:
     """Evaluate the degree-zero invariant over a grid and check it is always even.
 
-    Cells with m = 0 or n = 0 are skipped and counted.  Wherever the closed
-    form is defined (odd n, or both m and n even) it is evaluated alongside
-    the coset route and any disagreement is reported as a counterexample
-    with full inputs, as is any odd value.  Cells are visited in ascending
+    Cells with m = 0 or n = 0 are skipped and counted.  Each cell is
+    evaluated by sw4_zero_routes; an odd value, and a closed route that
+    disagrees with the coset route where it is defined, are reported as
+    counterexamples with full inputs.  Cells are visited in ascending
     (g, m, n) order, so the report is deterministic.
     """
     gs = sorted(set(g_values))
@@ -292,7 +284,6 @@ def parity_sweep(
     cases = 0
     skipped = 0
     counterexamples: list[SweepCounterexample] = []
-    all_even = True
     for g in gs:
         require_genus(g)
         for m in ms:
@@ -301,28 +292,20 @@ def parity_sweep(
                     skipped += 1
                     continue
                 cases += 1
-                value = _coset_sum(sw_poly_circle_bundle(g, n), m, n)
+                value, closed = sw4_zero_routes(g, m, n)
                 if value % 2 != 0:
-                    all_even = False
                     counterexamples.append(
                         SweepCounterexample(g, m, n, value, "odd-value", f"value {value} is odd")
                     )
-                if n % 2 != 0 or m % 2 == 0:
-                    closed = sw4_zero_closed(g, m, n)
-                    if closed != value:
-                        counterexamples.append(
-                            SweepCounterexample(
-                                g,
-                                m,
-                                n,
-                                value,
-                                "route-disagreement",
-                                f"coset {value} != closed {closed}",
-                            )
+                if closed is not None and closed != value:
+                    counterexamples.append(
+                        SweepCounterexample(
+                            g, m, n, value, "route-disagreement", f"coset {value} != closed {closed}"
                         )
+                    )
     return SweepReport(
         cases=cases,
         skipped=skipped,
-        all_even=all_even,
+        all_even=not any(c.kind == "odd-value" for c in counterexamples),
         counterexamples=tuple(counterexamples),
     )

@@ -111,7 +111,7 @@ class TestSwCommands:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_sw0_route_disagreement_exits_2(self, fmt, monkeypatch, capsys):
-        monkeypatch.setattr(torusbundles.cli, "sw4_zero_closed", lambda g, m, n: 99)
+        monkeypatch.setattr(torusbundles.swcalc, "sw4_zero_closed", lambda g, m, n: 99)
         assert run(["sw0", "--genus", "2", "--m", "3", "--n", "3", f"--format={fmt}"]) == 2
         captured = capsys.readouterr()
         assert "99" in captured.out
@@ -134,6 +134,11 @@ class TestVerifyParity:
 
     def test_bad_range_syntax(self, capsys):
         assert run(["verify-parity", "--g", "2-3", "--mn", "1..2"]) == 1
+
+    def test_route_disagreement_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(torusbundles.swcalc, "sw4_zero_closed", lambda g, m, n: 99)
+        assert run(["verify-parity", "--g", "2..2", "--mn", "1..1"]) == 2
+        assert "g=2 m=1 n=1: route-disagreement: coset 0 != closed 99" in capsys.readouterr().out
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_counterexample_exits_2(self, fmt, monkeypatch, capsys):

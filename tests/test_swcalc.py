@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusbundles import (
     ResidueSet,
@@ -11,7 +13,9 @@ from torusbundles import (
     sw4_zero_closed,
     sw4_zero_coset,
     sw4_zero_nonpullback,
+    sw4_zero_routes,
     sw_poly_circle_bundle,
+    swcalc,
 )
 
 
@@ -36,6 +40,11 @@ class TestCyclicSubgroup:
     def test_residue_set_closure_enforced(self):
         with pytest.raises(ValueError):
             ResidueSet(modulus=4, members=(0, 1))
+
+    @pytest.mark.parametrize("members", [(), (1,), (0, 4), (-1, 0)])
+    def test_residue_set_must_contain_zero_and_stay_in_range(self, members):
+        with pytest.raises(ValueError, match="include 0"):
+            ResidueSet(modulus=4, members=members)
 
 
 class TestProductCoefficients:
@@ -176,3 +185,39 @@ class TestParitySweep:
         assert report.all_even
         assert report.counterexamples == ()
         assert report.cases == 2 * 8 * 8
+
+    def test_closed_route_disagreement_is_reported_where_defined(self, monkeypatch):
+        closed = swcalc.sw4_zero_closed
+        monkeypatch.setattr(swcalc, "sw4_zero_closed", lambda g, m, n: closed(g, m, n) + 2)
+        report = parity_sweep([2, 3], range(-4, 5), range(-4, 5))
+        cells = [(g, m, n) for g in (2, 3) for m in range(-4, 5) for n in range(-4, 5) if m and n]
+        defined = [(g, m, n) for g, m, n in cells if n % 2 != 0 or m % 2 == 0]
+        assert report.all_even
+        assert [(c.g, c.m, c.n) for c in report.counterexamples] == defined
+        for c in report.counterexamples:
+            assert c.kind == "route-disagreement"
+            assert c.value == sw4_zero_coset(c.g, c.m, c.n)
+            assert c.detail == f"coset {c.value} != closed {c.value + 2}"
+
+    def test_odd_value_is_reported(self, monkeypatch):
+        coset = swcalc.sw4_zero_coset
+        monkeypatch.setattr(swcalc, "sw4_zero_coset", lambda g, m, n: coset(g, m, n) + 1)
+        report = parity_sweep([2], range(-3, 4), range(-3, 4))
+        odd = [c for c in report.counterexamples if c.kind == "odd-value"]
+        assert not report.all_even
+        assert len(odd) == report.cases == 36
+        assert all(c.value % 2 != 0 and c.detail == f"value {c.value} is odd" for c in odd)
+
+
+_NONZERO = st.integers(-60, 60).filter(bool)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(2, 6), _NONZERO, _NONZERO)
+def test_routes_are_paired_exactly_where_the_closed_form_is_defined(g, m, n):
+    coset, closed = sw4_zero_routes(g, m, n)
+    assert coset == sw4_zero_coset(g, m, n)
+    if n % 2 == 0 and m % 2 != 0:
+        assert closed is None
+    else:
+        assert closed == coset
