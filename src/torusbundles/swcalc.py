@@ -148,7 +148,7 @@ def sw_poly_circle_bundle(g: int, n: int) -> SWPolynomial:
     _require_nonzero(n)
     sign = _sign(n)
     modulus = abs(n)
-    spacing = 2 if n % 2 == 0 else 1  # even n: index 2i, step |l|; odd n: index i, step |n|
+    spacing = 2 if n % 2 == 0 else 1
     step = modulus // spacing
     coeffs = [0] * modulus
     for i in range(step):
