@@ -16,7 +16,7 @@ from math import gcd
 from typing import Any
 
 from ._record import Record
-from .exactla import IntMatrix, integer_kernel, stack_columns, stack_rows
+from .exactla import IntMatrix, integer_kernel
 
 
 class ParseError(ValueError):
@@ -188,11 +188,13 @@ class TorusBundle(Record):
         base surface group, i.e. when it is the monodromy of an honest
         bundle rather than a formal tuple.
         """
-        acc = SL2Z.identity()
-        for i in range(self.genus):
-            a, b = self.monodromy[2 * i], self.monodromy[2 * i + 1]
-            acc = acc * a * b * a.inverse() * b.inverse()
-        return acc.is_identity
+        p, q, r, s = 1, 0, 0, 1
+        for x, y in zip(self.monodromy[::2], self.monodromy[1::2]):
+            # right-multiply the running product by x, y, x^-1 and y^-1
+            inverses = (x.d, -x.b, -x.c, x.a), (y.d, -y.b, -y.c, y.a)
+            for a, b, c, d in ((x.a, x.b, x.c, x.d), (y.a, y.b, y.c, y.d), *inverses):
+                p, q, r, s = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+        return (p, q, r, s) == (1, 0, 0, 1)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -228,10 +230,10 @@ def bundle_from_dict(obj: Any) -> TorusBundle:
             or any(not isinstance(row, list) or len(row) != 2 for row in entry)
         ):
             raise ParseError(f"monodromy[{i}] must be a 2x2 array [[a,b],[c,d]]")
-        a = _require_int(entry[0][0], f"monodromy[{i}][0][0]")
-        b = _require_int(entry[0][1], f"monodromy[{i}][0][1]")
-        c = _require_int(entry[1][0], f"monodromy[{i}][1][0]")
-        d = _require_int(entry[1][1], f"monodromy[{i}][1][1]")
+        (a, b), (c, d) = entry
+        for k, x in enumerate((a, b, c, d)):
+            if isinstance(x, bool) or not isinstance(x, int):  # the field name is formatted only here
+                _require_int(x, f"monodromy[{i}][{k // 2}][{k % 2}]")
         try:
             matrices.append(SL2Z(a, b, c, d))
         except ValidationError as exc:
@@ -279,8 +281,9 @@ def fixed_sublattice(b: TorusBundle) -> Lattice:
     Rank 2 exactly for trivial monodromy; rank >= 1 exactly when the bundle
     supports a free circle action preserving fibers.
     """
-    stacked = stack_rows([m.minus_identity() for m in b.monodromy])
-    return _lattice_from_kernel_columns(integer_kernel(stacked))
+    # the 4g x 2 stack of the blocks A_i - I
+    stacked = tuple(row for m in b.monodromy for row in ((m.a - 1, m.b), (m.c, m.d - 1)))
+    return _lattice_from_kernel_columns(integer_kernel(IntMatrix._trusted(stacked, 2)))
 
 
 def relation_sublattice(b: TorusBundle) -> Lattice:
@@ -291,8 +294,9 @@ def relation_sublattice(b: TorusBundle) -> Lattice:
     common fixed vector, in which case the lattice spans the same line as
     fixed_sublattice.
     """
-    span = stack_columns([m.minus_identity() for m in b.monodromy])
-    orthogonal = integer_kernel(span.transpose())
+    # the 4g x 2 stack of the transposed blocks (A_i - I)^T, one row per generator
+    generators = tuple(row for m in b.monodromy for row in ((m.a - 1, m.c), (m.b, m.d - 1)))
+    orthogonal = integer_kernel(IntMatrix._trusted(generators, 2))
     saturation = integer_kernel(orthogonal.transpose())
     return _lattice_from_kernel_columns(saturation)
 

@@ -5,8 +5,8 @@ the Smith diagonal with both unimodular transforms; it is public and tested,
 but no classification calls it.  `integer_kernel` is a column echelon
 (Hermite) reduction that carries only the column transform, and the fixed
 lattice behind the rule-based verdict runs on it.  `_smith_diagonal` returns
-only the nonzero invariant factors; `rank` and `cokernel_structure` use it,
-and with them b1/b2, the Betti oracle and the spectral oracle's E2 ranks.
+only the nonzero invariant factors; `rank` uses it, and with it b1/b2, the
+Betti oracle and the E2 ranks, and so does `cokernel_structure` for H1.
 So the rule route and the oracles reach every verdict on different kernels.
 The module also computes determinants and binomial coefficients, all with
 Python's unbounded integers; nothing in this package touches floating point.

@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .bundle import TorusBundle, fixed_sublattice, require_genus
-from .exactla import AbelianGroup, IntMatrix, cokernel_structure, stack_columns
+from .exactla import AbelianGroup, IntMatrix, cokernel_structure, rank
 
 
 class NotFlatError(ValueError):
@@ -27,11 +27,14 @@ class Trichotomy(Enum):
 
 def fiber_relation_matrix(b: TorusBundle) -> IntMatrix:
     """Relation matrix R on the fiber generators: columns (A_i - I)e_j, plus (m, n) if nonzero."""
-    blocks = [m.minus_identity() for m in b.monodromy]
-    matrix = stack_columns(blocks)
+    top, bottom = [], []
+    for m in b.monodromy:
+        top += (m.a - 1, m.b)
+        bottom += (m.c, m.d - 1)
     if b.euler != (0, 0):
-        matrix = stack_columns([matrix, IntMatrix._trusted(((b.euler[0],), (b.euler[1],)), 1)])
-    return matrix
+        top.append(b.euler[0])
+        bottom.append(b.euler[1])
+    return IntMatrix._trusted((tuple(top), tuple(bottom)), len(top))
 
 
 def h1_total_space(b: TorusBundle) -> AbelianGroup:
@@ -58,8 +61,8 @@ def h1_circle_bundle(g: int, n: int) -> AbelianGroup:
 
 
 def betti(b: TorusBundle) -> tuple[int, int]:
-    """(b1, b2) of the total space; b2 = 2*b1 - 2 since the Euler characteristic vanishes."""
-    b1 = h1_total_space(b).free_rank
+    """(b1, b2) of the total space: b1 = 2g + 2 - rank(R), b2 = 2*b1 - 2 as the Euler characteristic is 0."""
+    b1 = 2 * b.genus + 2 - rank(fiber_relation_matrix(b))
     return b1, 2 * b1 - 2
 
 

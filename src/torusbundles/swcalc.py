@@ -136,7 +136,6 @@ def _alternating_binomial_sum(g: int, i: int, step: int) -> int:
     return total
 
 
-@lru_cache(maxsize=1024)  # at least one genus row of n-values, which parity_sweep revisits for every m
 def sw_poly_circle_bundle(g: int, n: int) -> SWPolynomial:
     """Seiberg-Witten polynomial of the circle bundle with Euler number n over genus g.
 
@@ -156,6 +155,7 @@ def sw_poly_circle_bundle(g: int, n: int) -> SWPolynomial:
     return SWPolynomial(modulus=modulus, coefficients=tuple(coeffs))
 
 
+@lru_cache(maxsize=1024)  # at least one genus row of n-values, which parity_sweep revisits for every m
 def fold_product_poly(g: int, n: int) -> SWPolynomial:
     """Independent oracle: fold the product coefficients c_s into residues mod |n|.
 
@@ -180,9 +180,11 @@ def sw4_zero_coset(g: int, m: int, n: int) -> int:
 
     Sums the circle-bundle polynomial coefficients over j with i - j in the
     doubled subgroup, for every i in the subgroup generated by m; this is
-    the definition-level evaluation and is total for every nonzero n.
+    the definition-level evaluation and is total for every nonzero n.  It
+    reads the folded product coefficients, so it shares no polynomial kernel
+    with the closed form's alternating sums.
     """
-    poly = sw_poly_circle_bundle(g, n)
+    poly = fold_product_poly(g, n)
     subgroup_m = cyclic_subgroup(m, n)
     subgroup_2m = cyclic_subgroup(2 * m, n)
     modulus = poly.modulus

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusbundles import bundle as bundle_module
 from torusbundles import (
     ParseError,
     SL2Z,
@@ -189,6 +190,25 @@ class TestParsing:
         )
         with pytest.raises(ParseError, match=r"monodromy\[0\]"):
             parse_bundle(text)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_first_non_integer_entry_is_named(self, k):
+        entries = [1, 0, 0, 1]
+        entries[k:] = ["x", True, None, 2.0][: 4 - k]  # every entry from k on is bad; the first is reported
+        matrix = [entries[:2], entries[2:]]
+        identity = [[1, 0], [0, 1]]
+        text = json.dumps({"genus": 2, "monodromy": [identity, matrix, identity, identity], "euler": [0, 0]})
+        with pytest.raises(ParseError) as info:
+            parse_bundle(text)
+        assert str(info.value) == f"field monodromy[1][{k // 2}][{k % 2}] must be an integer, got 'x'"
+
+    def test_valid_matrix_entries_format_no_field_name(self, monkeypatch):
+        fields = []
+        require_int = bundle_module._require_int
+        counted = lambda x, field: fields.append(field) or require_int(x, field)  # noqa: E731
+        monkeypatch.setattr(bundle_module, "_require_int", counted)
+        assert parse_bundle(serialize_bundle(bundle((UPPER,) * 10, (1, 2), genus=5))).genus == 5
+        assert fields == ["genus", "euler[0]", "euler[1]"]
 
     def test_bad_euler_shape(self):
         text = json.dumps({"genus": 2, "monodromy": [[[1, 0], [0, 1]]] * 4, "euler": [1]})

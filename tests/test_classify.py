@@ -3,14 +3,14 @@ import random
 import pytest
 
 from torusbundles import (
-    AbelianGroup,
     E2Ranks,
     IntMatrix,
     InternalInconsistencyError,
     ProductH1Class,
     ProductH2Class,
+    SL2Z,
     TorusBundle,
-    cokernel_structure,
+    betti,
     conjugate_bundle,
     e2_ranks,
     cup_product_annihilator,
@@ -24,6 +24,7 @@ from torusbundles import (
     thurston_norm_product,
 )
 from torusbundles import exactla
+from torusbundles.homology import fiber_relation_matrix
 
 from support import (
     IDENTITY,
@@ -115,21 +116,23 @@ class TestIsSymplectic:
     def test_each_h1_is_reduced_once(self, monkeypatch):
         b = bundle([UPPER, IDENTITY, IDENTITY, UPPER.inverse()], euler=(2, 0))
         assert b.surface_relation_holds()  # so the spectral oracle runs too
-        calls = count_calls(monkeypatch, cokernel_structure)
+        relation_calls = count_calls(monkeypatch, fiber_relation_matrix)
+        diagonal_calls = count_calls(monkeypatch, exactla._smith_diagonal)
+        blocks = []
+        minus_identity = SL2Z.minus_identity
+        monkeypatch.setattr(SL2Z, "minus_identity", lambda m: blocks.append(m) or minus_identity(m))
         assert is_symplectic(b).cross_checks.all_pass()
-        assert len(calls) == 2  # the bundle's H1 and its flat twin's; the spectral test reuses b2
+        assert len(relation_calls) == 2  # the bundle's b1 and its flat twin's; the spectral test reuses b2
+        assert len(diagonal_calls) == 4  # those two ranks, Fox D1 and D2; no cokernel is built
+        assert blocks == []  # the relation matrices are built from the entries, not from A - I blocks
 
     @pytest.mark.parametrize("oracle", ["betti", "spectral"])
     def test_oracle_disagreement_raises(self, oracle, monkeypatch):
         b = bundle([UPPER, IDENTITY, IDENTITY, UPPER.inverse()], euler=(2, 0))
         assert is_symplectic(b).symplectic
         if oracle == "betti":  # the flat twin gains a Betti number, so b1 seems to drop
-            real = h1_total_space
-            replace_everywhere(
-                monkeypatch,
-                h1_total_space,
-                lambda x: AbelianGroup(real(x).free_rank + x.is_flat, real(x).invariant_factors),
-            )
+            real = betti
+            replace_everywhere(monkeypatch, betti, lambda x: (real(x)[0] + x.is_flat, real(x)[1] + 2 * x.is_flat))
         else:  # rank E11 = 0 makes b2 == 2 + rank E11 fail
             replace_everywhere(monkeypatch, e2_ranks, lambda g, mono: E2Ranks(1, 0, 1, 2 * g, 0, 1, 0, 1))
         with pytest.raises(InternalInconsistencyError, match=f"^{oracle} oracle \\(False\\) disagrees"):

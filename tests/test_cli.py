@@ -117,6 +117,17 @@ class TestSwCommands:
         assert "99" in captured.out
         assert captured.err == "internal inconsistency: evaluation routes disagree\n"
 
+    def test_sw0_scaled_alternating_sum_exits_2(self, monkeypatch, capsys):
+        # the closed route's kernel only; the coset route reads the folded product coefficients
+        real = torusbundles.swcalc._alternating_binomial_sum
+        tripled = lambda g, i, step: 3 * real(g, i, step)  # noqa: E731
+        monkeypatch.setattr(torusbundles.swcalc, "_alternating_binomial_sum", tripled)
+        assert run(["sw0", "--genus", "2", "--m", "3", "--n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "coset route: -2" in captured.out
+        assert "closed route: -6" in captured.out
+        assert captured.err == "internal inconsistency: evaluation routes disagree\n"
+
 
 class TestVerifyParity:
     def test_small_sweep(self, capsys):

@@ -100,11 +100,11 @@ class TestPolynomial:
                 assert minus == tuple(-c for c in plus)
 
     def test_cache_is_bounded(self):
-        maxsize = sw_poly_circle_bundle.cache_info().maxsize
+        maxsize = fold_product_poly.cache_info().maxsize
         assert maxsize >= 40  # parity_sweep revisits one genus row, 40 n-values on the default grid, per m
         for k in range(maxsize + 1):
-            sw_poly_circle_bundle(2 + k // 200, 1 + k % 200)
-        assert sw_poly_circle_bundle.cache_info().currsize <= maxsize
+            fold_product_poly(2 + k // 200, 1 + k % 200)
+        assert fold_product_poly.cache_info().currsize <= maxsize
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -207,6 +207,43 @@ class TestParitySweep:
         assert not report.all_even
         assert len(odd) == report.cases == 36
         assert all(c.value % 2 != 0 and c.detail == f"value {c.value} is odd" for c in odd)
+
+
+class TestRoutesShareNoPolynomialKernel:
+    """A fault in either route's polynomial kernel shows up as a disagreement, not as a shared wrong value."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_fold_cache(self):
+        swcalc.fold_product_poly.cache_clear()
+        yield
+        swcalc.fold_product_poly.cache_clear()
+
+    def test_scaled_alternating_sum_is_a_route_disagreement(self, monkeypatch):
+        real = swcalc._alternating_binomial_sum
+        monkeypatch.setattr(swcalc, "_alternating_binomial_sum", lambda g, i, step: 3 * real(g, i, step))
+        report = parity_sweep(range(2, 6), range(-6, 7), range(-6, 7))
+        monkeypatch.undo()
+        cells = [(g, m, n) for g in range(2, 6) for m in range(-6, 7) for n in range(-6, 7) if m and n]
+        # the coset route reads the fold, so it keeps the true value and the closed route triples it
+        wrong = [c for c in cells if (c[2] % 2 or c[1] % 2 == 0) and sw4_zero_coset(*c)]
+        assert report.all_even
+        assert [(c.g, c.m, c.n) for c in report.counterexamples] == wrong
+        for c in report.counterexamples:
+            assert c.kind == "route-disagreement"
+            assert c.detail == f"coset {c.value} != closed {3 * c.value}"
+
+    def test_perturbed_product_coefficient_is_a_route_disagreement(self, monkeypatch):
+        real = swcalc.product_sw_coefficients
+        # c_0 sits at index g - 1 and folds onto residue 0, which every coset sum counts |<2m>| times
+        monkeypatch.setattr(
+            swcalc, "product_sw_coefficients", lambda g: tuple(c + 2 * (q == g - 1) for q, c in enumerate(real(g)))
+        )
+        report = parity_sweep(range(2, 6), range(-6, 7), range(-6, 7))
+        cells = [(g, m, n) for g in range(2, 6) for m in range(-6, 7) for n in range(-6, 7) if m and n]
+        defined = [c for c in cells if c[2] % 2 or c[1] % 2 == 0]
+        assert report.all_even
+        assert [(c.g, c.m, c.n) for c in report.counterexamples] == defined
+        assert {c.kind for c in report.counterexamples} == {"route-disagreement"}
 
 
 _NONZERO = st.integers(-60, 60).filter(bool)
