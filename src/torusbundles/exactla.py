@@ -1,13 +1,13 @@
 """Exact integer linear algebra.
 
-Three reductions that share no code serve different callers.  `snf` returns
-the Smith diagonal with both unimodular transforms; it is public and tested,
-but no classification calls it.  `integer_kernel` is a column echelon
-(Hermite) reduction that carries only the column transform, and the fixed
-lattice behind the rule-based verdict runs on it.  `_smith_diagonal` returns
-only the nonzero invariant factors; `rank` uses it, and with it b1/b2, the
-Betti oracle and the E2 ranks, and so does `cokernel_structure` for H1.
-So the rule route and the oracles reach every verdict on different kernels.
+Four kernels that share no code serve different callers.  The rule route's
+fixed lattice runs on `integer_kernel`, a column echelon (Hermite) reduction
+carrying only the column transform.  The oracles' b1/b2 and E2 ranks run on
+`rank`, which reads a matrix at most two wide, as all of theirs are, by one
+pass of 2x2 minors.  `_smith_diagonal`, the nonzero invariant factors alone,
+serves `cokernel_structure` (H1 for `homology`) and wider ranks; `snf` adds
+both transforms and is the tests' reference.  So the rule route and the
+oracles reach every verdict on different kernels.
 The module also computes determinants and binomial coefficients, all with
 Python's unbounded integers; nothing in this package touches floating point.
 """
@@ -334,8 +334,23 @@ def _smith_diagonal(m: IntMatrix) -> list[int]:
     return diag
 
 
+def _thin_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of at most two rows: past the first nonzero column (a, b), a column (c, d) with ad != bc gives 2."""
+    if len(rows) < 2:
+        return int(any(map(any, rows)))
+    columns = zip(*rows)
+    for a, b in columns:
+        if a or b:
+            return 1 + any(a * d != b * c for c, d in columns)
+    return 0
+
+
 def rank(m: IntMatrix) -> int:
-    """Rank of an integer matrix (count of nonzero Smith invariants)."""
+    """Rank of an integer matrix: 2x2 minors if it has at most two rows or columns, else its Smith invariants."""
+    if m.rows <= 2:
+        return _thin_rank(m.entries)
+    if m.cols <= 2:
+        return _thin_rank(tuple(zip(*m.entries)))
     return len(_smith_diagonal(m))
 
 

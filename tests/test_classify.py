@@ -117,13 +117,15 @@ class TestIsSymplectic:
         b = bundle([UPPER, IDENTITY, IDENTITY, UPPER.inverse()], euler=(2, 0))
         assert b.surface_relation_holds()  # so the spectral oracle runs too
         relation_calls = count_calls(monkeypatch, fiber_relation_matrix)
+        thin_calls = count_calls(monkeypatch, exactla._thin_rank)
         diagonal_calls = count_calls(monkeypatch, exactla._smith_diagonal)
         blocks = []
         minus_identity = SL2Z.minus_identity
         monkeypatch.setattr(SL2Z, "minus_identity", lambda m: blocks.append(m) or minus_identity(m))
         assert is_symplectic(b).cross_checks.all_pass()
         assert len(relation_calls) == 2  # the bundle's b1 and its flat twin's; the spectral test reuses b2
-        assert len(diagonal_calls) == 4  # those two ranks, Fox D1 and D2; no cokernel is built
+        assert len(thin_calls) == 4  # those two ranks, Fox D1 and D2
+        assert len(diagonal_calls) == 0  # no cokernel is built
         assert blocks == []  # the relation matrices are built from the entries, not from A - I blocks
 
     @pytest.mark.parametrize("oracle", ["betti", "spectral"])
@@ -140,24 +142,26 @@ class TestIsSymplectic:
 
 
 class TestKernelSplit:
-    """The rule route runs on the Hermite kernel (integer_kernel), both oracles on the Smith diagonal."""
+    """The rule route runs on the Hermite kernel (integer_kernel), both oracles on the thin rank's 2x2 minors."""
 
     def test_no_smith_transform_is_built(self, monkeypatch):
         b = bundle([UPPER, IDENTITY, IDENTITY, UPPER.inverse()], euler=(2, 0))
         assert b.surface_relation_holds()  # so the spectral oracle runs too
         snf_calls = count_calls(monkeypatch, snf)
         kernel_calls = count_calls(monkeypatch, integer_kernel)
+        thin_calls = count_calls(monkeypatch, exactla._thin_rank)
         diagonal_calls = count_calls(monkeypatch, exactla._smith_diagonal)
         assert is_symplectic(b).cross_checks.all_pass()
         assert len(snf_calls) == 0
         assert len(kernel_calls) == 1  # the fixed lattice
-        assert len(diagonal_calls) == 4  # H1 of the bundle and of its flat twin, Fox D1 and D2
+        assert len(thin_calls) == 4  # the relation matrices of the bundle and of its flat twin, Fox D1 and D2
+        assert len(diagonal_calls) == 0
 
     def test_a_wrong_diagonal_kernel_is_caught(self, monkeypatch):
         b = bundle([UPPER, IDENTITY, IDENTITY, UPPER.inverse()], euler=(0, 2))
         assert not is_symplectic(b).symplectic
-        # a kernel that reads every matrix as zero gives the bundle and its flat twin the same b1
-        monkeypatch.setattr(exactla, "_smith_diagonal", lambda m: [])
+        # a rank that reads every matrix as zero gives the bundle and its flat twin the same b1
+        monkeypatch.setattr(exactla, "_thin_rank", lambda rows: 0)
         with pytest.raises(InternalInconsistencyError, match="^betti oracle \\(True\\) disagrees"):
             is_symplectic(b)
 

@@ -247,6 +247,47 @@ class TestSmithDiagonal:
         assert _smith_diagonal(IntMatrix.zeros(*shape)) == []
 
 
+@st.composite
+def _thin_matrices(draw):
+    """0 x N, 1 x N, 2 x N, N x 1 and N x 2 (N <= 257), entries up to 10^50.
+
+    Half the draws are rank 1: zero columns, then integer multiples (some zero) of one vector.
+    Half of those end in one independent column, which a rank that starts from a zero column,
+    or compares a column only with its neighbour, reads as rank 1.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n, tall, bound = rng.randint(0, 257), rng.random() < 0.5, rng.choice([1, 3, 10**6, 10**50])
+
+    def entry(b=bound):
+        return rng.randint(-b, b) if rng.random() < 0.7 else 0
+
+    if rng.random() < 0.5:
+        a, b = entry(), entry()
+        b = b if a or b else 1
+        zeros = rng.randint(0, n)
+        ts = [entry(9) for _ in range(n - zeros)]
+        rows = [[0] * zeros + [t * a for t in ts], [0] * zeros + [t * b for t in ts]]
+        if n and rng.random() < 0.5:
+            rows[0][-1], rows[1][-1] = rows[0][-1] + b, rows[1][-1] - a  # a*(tb - a) - b*(ta + b) != 0
+    else:
+        rows = [[entry() for _ in range(n)] for _ in range(rng.randint(0, 2))]
+    m = IntMatrix(rows, cols=n)
+    return m.transpose() if tall else m
+
+
+class TestThinRank:
+    """rank on at most two rows or columns, one pass of 2x2 minors, against the Smith diagonal and sympy."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(_thin_matrices())
+    def test_matches_smith_diagonal_and_sympy(self, m):
+        from sympy import Matrix
+
+        reference = Matrix(m.rows, m.cols, [x for r in m.entries for x in r])
+        # the entries stay exact rationals, so == 0 is exact and spares the default symbolic zero test
+        assert rank(m) == len(_smith_diagonal(m)) == reference.rank(iszerofunc=lambda x: x == 0)
+
+
 def _sympy_hermite(k):
     from sympy import Matrix
     from sympy.matrices.normalforms import hermite_normal_form

@@ -212,12 +212,6 @@ class TestParitySweep:
 class TestRoutesShareNoPolynomialKernel:
     """A fault in either route's polynomial kernel shows up as a disagreement, not as a shared wrong value."""
 
-    @pytest.fixture(autouse=True)
-    def _fresh_fold_cache(self):
-        swcalc.fold_product_poly.cache_clear()
-        yield
-        swcalc.fold_product_poly.cache_clear()
-
     def test_scaled_alternating_sum_is_a_route_disagreement(self, monkeypatch):
         real = swcalc._alternating_binomial_sum
         monkeypatch.setattr(swcalc, "_alternating_binomial_sum", lambda g, i, step: 3 * real(g, i, step))
