@@ -130,7 +130,8 @@ def _spectral_text(p: dict[str, Any], args: argparse.Namespace) -> Iterator[str]
 def _swpoly(args: argparse.Namespace) -> dict[str, Any]:
     poly = sw_poly_circle_bundle(args.genus, args.n)
     return {
-        **_plain(poly),
+        "modulus": poly.modulus,
+        "coefficients": list(poly.coefficients),
         "genus": args.genus,
         "n": args.n,
         "polynomial": poly.render(),

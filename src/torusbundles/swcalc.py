@@ -17,11 +17,11 @@ On top of the polynomial sit the degree-zero invariants of the associated
 principal torus bundle: a coset-sum evaluation, a closed form with a
 multiplicity prefactor |n| / gcd(|2m|, |n|), and the prefactor-free variant
 for bundles whose Euler class misses the pullback torsion subgroup.  The
-closed form for even n sums the polynomial coefficients over the even
-residue subgroup, i.e. the inner binomial sums run over half-indices; that
-reading is forced by exact agreement with the coset evaluation.  For n even
-with m odd no closed form is offered and the coset route is the contract;
-sw4_zero_routes evaluates both routes for the CLI and the parity sweep.
+closed form sums the direct polynomial over the subgroup <m>, i.e. over the
+residues divisible by gcd(|m|, |n|); that reading is forced by exact
+agreement with the coset evaluation.  For n even with m odd no closed form
+is offered and the coset route is the contract; sw4_zero_routes evaluates
+both routes for the CLI and the parity sweep.
 """
 
 from __future__ import annotations
@@ -65,27 +65,33 @@ class ResidueSet(Record):
 
 
 class SWPolynomial(Record):
-    """Integer coefficients indexed by residues mod |n|."""
+    """Integer coefficients indexed by residues mod |n|, stored as the sorted nonzero (residue, coefficient) pairs."""
 
     modulus: int
-    coefficients: tuple[int, ...]
+    terms: tuple[tuple[int, int], ...]
 
     def _check(self) -> None:
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
-        coeffs = tuple(self.coefficients)
-        object.__setattr__(self, "coefficients", coeffs)
-        if len(coeffs) != self.modulus:
-            raise ValueError(f"expected {self.modulus} coefficients, got {len(coeffs)}")
+        terms = sorted(self.terms)
+        residues = {r for r, _ in terms}
+        if len(residues) < len(terms) or not all(0 <= r < self.modulus for r in residues):
+            raise ValueError(f"residues must be distinct and lie in [0, {self.modulus - 1}]")
+        object.__setattr__(self, "terms", tuple((r, c) for r, c in terms if c != 0))
 
-    def coefficient(self, k: int) -> int:
-        return self.coefficients[k % self.modulus]
+    @property
+    def coefficients(self) -> tuple[int, ...]:
+        """The dense view: one coefficient for every residue 0..modulus-1."""
+        dense = [0] * self.modulus
+        for r, c in self.terms:
+            dense[r] = c
+        return tuple(dense)
 
     def nonzero_terms(self) -> tuple[tuple[int, int], ...]:
-        return tuple((k, c) for k, c in enumerate(self.coefficients) if c != 0)
+        return self.terms
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
+        return not self.terms
 
     def render(self) -> str:
         terms = [str(c) if k == 0 else f"{c}*t^{k}" for k, c in self.nonzero_terms()]
@@ -126,14 +132,9 @@ def _sign(n: int) -> int:
 
 
 def _alternating_binomial_sum(g: int, i: int, step: int) -> int:
-    """Sum over k of (-1)^q C(2g-2, q) with q = (g-1) + i + k*step, k in [-(2g-2), 2g-2]."""
-    total = 0
-    for k in range(-(2 * g - 2), 2 * g - 1):
-        q = (g - 1) + i + k * step
-        c = binomial(2 * g - 2, q)
-        if c:
-            total += c if q % 2 == 0 else -c
-    return total
+    """Sum over integers k of (-1)^q C(2g-2, q) with q = (g-1) + i + k*step, visiting only q in [0, 2g-2]."""
+    top = 2 * g - 2
+    return sum((-1) ** q * binomial(top, q) for q in range((g - 1 + i) % step, top + 1, step))
 
 
 def sw_poly_circle_bundle(g: int, n: int) -> SWPolynomial:
@@ -142,17 +143,17 @@ def sw_poly_circle_bundle(g: int, n: int) -> SWPolynomial:
     For even n = 2l the support sits at even indices 2i, 0 <= i < |l|, with
     coefficient sign(n) * sum_k (-1)^q C(2g-2, q), q = (g-1) + i + k|l|; for
     odd n the same sum with |l| replaced by |n| lands at index i directly.
+    Only the residues i = (q - (g-1)) mod step, 0 <= q <= 2g-2, have a term
+    in the sum, so only those are evaluated.
     """
     require_genus(g)
     _require_nonzero(n)
     sign = _sign(n)
-    modulus = abs(n)
     spacing = 2 if n % 2 == 0 else 1
-    step = modulus // spacing
-    coeffs = [0] * modulus
-    for i in range(step):
-        coeffs[spacing * i] = sign * _alternating_binomial_sum(g, i, step)
-    return SWPolynomial(modulus=modulus, coefficients=tuple(coeffs))
+    step = abs(n) // spacing
+    residues = {(q - (g - 1)) % step for q in range(2 * g - 1)}
+    terms = tuple((spacing * i, sign * _alternating_binomial_sum(g, i, step)) for i in residues)
+    return SWPolynomial(modulus=abs(n), terms=terms)
 
 
 @lru_cache(maxsize=1024)  # at least one genus row of n-values, which parity_sweep revisits for every m
@@ -166,13 +167,13 @@ def fold_product_poly(g: int, n: int) -> SWPolynomial:
     require_genus(g)
     _require_nonzero(n)
     sign = _sign(n)
-    modulus = abs(n)
     spacing = 2 if n % 2 == 0 else 1
-    step = modulus // spacing
-    coeffs = [0] * modulus
+    step = abs(n) // spacing
+    terms: dict[int, int] = {}
     for s, c in enumerate(product_sw_coefficients(g), start=-(g - 1)):
-        coeffs[spacing * (s % step)] += sign * c
-    return SWPolynomial(modulus=modulus, coefficients=tuple(coeffs))
+        r = spacing * (s % step)
+        terms[r] = terms.get(r, 0) + sign * c
+    return SWPolynomial(modulus=abs(n), terms=tuple(terms.items()))
 
 
 def sw4_zero_coset(g: int, m: int, n: int) -> int:
@@ -185,47 +186,44 @@ def sw4_zero_coset(g: int, m: int, n: int) -> int:
     with the closed form's alternating sums.
     """
     poly = fold_product_poly(g, n)
+    coefficient = dict(poly.terms)
     subgroup_m = cyclic_subgroup(m, n)
     subgroup_2m = cyclic_subgroup(2 * m, n)
     modulus = poly.modulus
     total = 0
     for i in subgroup_m:
         for delta in subgroup_2m:
-            total += poly.coefficient((i + delta) % modulus)
+            total += coefficient.get((i + delta) % modulus, 0)
     return total
 
 
 def _inner_sums(g: int, m: int, n: int, form: str) -> int:
-    """Inner alternating sums of the closed form over the residues divisible by gcd(|m|,|n|).
+    """The direct polynomial summed over <m>: its terms whose residue is divisible by gcd(|m|,|n|).
 
-    Odd n sums over those residues with step |n|.  Even n requires even m
-    (else UnsupportedParityError naming the form) and sums over the
-    half-indices of the even residues with step |n/2|.
+    The sum carries the polynomial's sign(n).  Even n requires even m (else
+    UnsupportedParityError naming the form).
     """
     require_genus(g)
     _require_nonzero(n)
-    d = gcd(abs(m), abs(n))
-    if n % 2 != 0:
-        return sum(_alternating_binomial_sum(g, i, abs(n)) for i in range(0, abs(n), d))
-    if m % 2 != 0:
+    if n % 2 == 0 and m % 2 != 0:
         raise UnsupportedParityError(
             f"{form} undefined for even n = {n} with odd m = {m}; use the coset evaluation"
         )
-    half = abs(n) // 2
-    return sum(_alternating_binomial_sum(g, h, half) for h in range(0, half, d // 2))
+    d = gcd(m, n)
+    return sum(c for r, c in sw_poly_circle_bundle(g, n).terms if r % d == 0)
 
 
 def sw4_zero_closed(g: int, m: int, n: int) -> int:
     """Closed form for the degree-zero invariant.
 
-    sign(n) * |n| / gcd(|2m|,|n|) times the inner sums.  The prefactor is
+    |n| / gcd(|2m|,|n|) times the inner sums.  The prefactor is
     |<2m>|, the order of the doubled subgroup; gcd(|2m|,|n|) is d or 2d for
     d = gcd(|m|,|n|), according to whether doubling m doubles the gcd (never
     for odd n).  Even n requires even m.  Must equal sw4_zero_coset
     everywhere it is defined.
     """
     inner = _inner_sums(g, m, n, "closed form")  # validates g and n before the gcd divides
-    return _sign(n) * (abs(n) // gcd(2 * m, n)) * inner
+    return (abs(n) // gcd(2 * m, n)) * inner
 
 
 def sw4_zero_routes(g: int, m: int, n: int) -> tuple[int, int | None]:
@@ -242,13 +240,13 @@ def sw4_zero_routes(g: int, m: int, n: int) -> tuple[int, int | None]:
 
 
 def sw4_zero_nonpullback(g: int, m: int, n: int) -> int:
-    """Prefactor-free variant: the inner alternating sums alone, times sign(n).
+    """Prefactor-free variant: the inner sums alone, which carry sign(n).
 
     Applies when the Euler class meets the pullback torsion subgroup only at
     zero, so every contributing structure is counted once.  Same parity
     restriction as the closed form; always an even integer.
     """
-    return _sign(n) * _inner_sums(g, m, n, "prefactor-free form")
+    return _inner_sums(g, m, n, "prefactor-free form")
 
 
 class SweepCounterexample(Record):

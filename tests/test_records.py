@@ -78,7 +78,7 @@ SAMPLES = [
     (ProductH1Class, dict(circle_coeff=1, base_coeffs=(0, 1, 0, 0)), dict(circle_coeff=0, base_coeffs=(0, 1, 0, 0))),
     (ProductH2Class, dict(volume_coeff=2, torus_coeffs=(1, 0, 0, 0)), dict(volume_coeff=2, torus_coeffs=(0, 0, 0, 1))),
     (ResidueSet, dict(modulus=6, members=(0, 2, 4)), dict(modulus=6, members=(0, 3))),
-    (SWPolynomial, dict(modulus=3, coefficients=(2, -1, -1)), dict(modulus=3, coefficients=(0, 0, 0))),
+    (SWPolynomial, dict(modulus=3, terms=((0, 2), (1, -1), (2, -1))), dict(modulus=3, terms=())),
     (
         SweepCounterexample,
         dict(g=2, m=1, n=3, value=5, kind="odd-value", detail="value 5 is odd"),

@@ -1,5 +1,7 @@
+from math import gcd
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torusbundles import (
@@ -99,6 +101,12 @@ class TestPolynomial:
                 minus = sw_poly_circle_bundle(g, -n).coefficients
                 assert minus == tuple(-c for c in plus)
 
+    def test_huge_n_stores_at_most_2g_minus_1_terms(self):
+        for g in (2, 20, 200):
+            direct = sw_poly_circle_bundle(g, 10**30)
+            assert direct == fold_product_poly(g, 10**30)
+            assert len(direct.terms) <= 2 * g - 1
+
     def test_cache_is_bounded(self):
         maxsize = fold_product_poly.cache_info().maxsize
         assert maxsize >= 40  # parity_sweep revisits one genus row, 40 n-values on the default grid, per m
@@ -113,8 +121,9 @@ class TestPolynomial:
             sw_poly_circle_bundle(2, 0)
 
     def test_modulus_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            SWPolynomial(modulus=3, coefficients=(1, 2))
+        for terms in [((3, 1),), ((-1, 1),), ((1, 2), (1, -2))]:  # out of range, below 0, repeated
+            with pytest.raises(ValueError, match="distinct and lie in"):
+                SWPolynomial(modulus=3, terms=terms)
 
 
 class TestSw4Zero:
@@ -252,3 +261,33 @@ def test_routes_are_paired_exactly_where_the_closed_form_is_defined(g, m, n):
         assert closed is None
     else:
         assert closed == coset
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(2, 30), st.integers(-(10**30), 10**30).filter(bool))
+def test_polynomial_routes_agree_for_huge_n(g, n):
+    direct = sw_poly_circle_bundle(g, n)
+    assert direct == fold_product_poly(g, n)
+    assert len(direct.terms) <= 2 * g - 1
+
+
+@st.composite
+def _small_order_euler_classes(draw):
+    """(m, n) with |n| <= 10^6 and |<m>| = k <= 32: m = q*u and n = +-k*q with gcd(u, k) = 1.
+
+    The order bound keeps ResidueSet's closure check, which is cubic in k, cheap.
+    """
+    k = draw(st.integers(1, 32))
+    q = draw(st.integers(1, 10**6 // k))
+    u = draw(st.integers(-(10**6), 10**6).filter(lambda u: gcd(u, k) == 1))
+    return q * u, draw(st.sampled_from((k * q, -k * q)))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(2, 30), _small_order_euler_classes())
+def test_degree_zero_routes_agree_for_large_n(g, euler):
+    m, n = euler
+    assume(n % 2 != 0 or m % 2 == 0)  # where the closed form is defined
+    coset = sw4_zero_coset(g, m, n)
+    assert sw4_zero_closed(g, m, n) == coset
+    assert sw4_zero_nonpullback(g, m, n) * (abs(n) // gcd(2 * m, n)) == coset
