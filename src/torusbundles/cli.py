@@ -27,6 +27,8 @@ SIGN_CONVENTION = (
     "the underlying invariant is defined only up to a global sign"
 )
 _YES = {True: "yes", False: "no"}
+# swpoly lists one coefficient per residue mod |n|: at |n| = 10**6 that is 7 MB of JSON in about 1 s
+MAX_LISTED_MODULUS = 10**6
 # a cross-check flag of the classification; None means the spectral oracle did not apply
 _AGREE = {True: "agree", False: "disagree", None: "skipped (monodromy violates the surface relation)"}
 
@@ -129,6 +131,8 @@ def _spectral_text(p: dict[str, Any], args: argparse.Namespace) -> Iterator[str]
 
 def _swpoly(args: argparse.Namespace) -> dict[str, Any]:
     poly = sw_poly_circle_bundle(args.genus, args.n)
+    if poly.modulus > MAX_LISTED_MODULUS:
+        raise ValueError(f"--n must satisfy |n| <= {MAX_LISTED_MODULUS} for swpoly's dense coefficient list")
     return {
         "modulus": poly.modulus,
         "coefficients": list(poly.coefficients),
@@ -248,8 +252,9 @@ def run(argv: Sequence[str]) -> int:
     try:
         args = _build_parser().parse_args(_merge_range_values(argv))
         payload = args.build(args)
-        # The bundle parsed under the digit limit L, so H1's 2-row relation matrix has entries of at most L + 1
-        # digits; d1*d2 divides each 2x2 minor, so an invariant factor has at most 2L + 1.  0 (no limit) stays 0.
+        # The bundle parsed under the digit limit L, and d1*d2 divides each 2x2 minor of H1's relation matrix.  One
+        # is 2 - tr(A) for each monodromy matrix A, of at most L + 1 digits; if every trace is 2, every entry has
+        # at most L digits and every minor at most 2L + 1.  So an invariant factor has at most 2L + 1; 0 stays 0.
         sys.set_int_max_str_digits(limit and 2 * limit + 1)
         if args.format == "json":
             print(json.dumps(payload, indent=2, sort_keys=True, default=str))

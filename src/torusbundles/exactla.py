@@ -1,19 +1,20 @@
 """Exact integer linear algebra.
 
-Four kernels that share no code serve different callers.  The rule route's
-fixed lattice runs on `integer_kernel`, a column echelon (Hermite) reduction
-carrying only the column transform.  The oracles' b1/b2 and E2 ranks run on
-`rank`, which reads a matrix at most two wide, as all of theirs are, by one
-pass of 2x2 minors.  `_smith_diagonal`, the nonzero invariant factors alone,
-serves `cokernel_structure` (H1 for `homology`) and wider ranks; `snf` adds
-both transforms and is the tests' reference.  So the rule route and the
-oracles reach every verdict on different kernels.
-The module also computes determinants and binomial coefficients, all with
-Python's unbounded integers; nothing in this package touches floating point.
+Every matrix the package builds is at most two rows or two columns wide, and
+each kernel it calls reads that thin side.  The rule route's fixed lattice
+runs on `integer_kernel`, a column echelon (Hermite) reduction carrying only
+the column transform.  The oracles' ranks run on `rank`, one pass of 2x2
+minors, and `cokernel_structure` (H1 for `homology`) reads d1 | d2 off a
+running Hermite basis of the column span, so the rule route and the oracles
+reach every verdict on different kernels.  `snf`, with both transforms, is the
+one general Smith algorithm: the tests' reference, and the fallback for wider
+shapes.  Determinants and binomial coefficients use Python's unbounded
+integers; nothing in this package touches floating point.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import comb, gcd
 from typing import Iterable, Sequence
 
@@ -278,60 +279,28 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
-def _smith_diagonal(m: IntMatrix) -> list[int]:
-    """Nonzero Smith invariants d1 | d2 | ... of m, computed without transforms.
+def _thin_invariants(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Nonzero Smith invariants d1 | d2 of at most two rows, from a running Hermite basis of the column span.
 
-    Works on the thin side: a matrix with more rows than columns is reduced
-    as its transpose, which has the same invariants, so each pivot sweeps
-    the long side once.  Every pivot row is cleared by gcd column operations
-    and its column by row operations until the pivot is alone; the collected
-    pivots are the diagonal of an equivalent matrix, and pairwise gcd/lcm
-    steps then bring them into the divisibility chain.
+    The span is kept as Z(a, b) + Z(0, c).  A column (0, y) joins c; any other column (x, y) folds into
+    (a, b) by xgcd, a plain subtraction when a divides x, and sends (0, (a*y - x*b)/gcd(a, x)) into c.
+    Then d1 = gcd(a, b, c) and d1 * d2 = a * c, the gcd of the 2x2 minors.
     """
-    a = [list(r) for r in (m.entries if m.rows <= m.cols else zip(*m.entries))]
-    diag = []
-    while a := [r for r in a if any(r)]:
-        # start from the smallest entry, which keeps the cofactors and so the entries small
-        _, i, j = min((abs(x), i, j) for i, r in enumerate(a) for j, x in enumerate(r) if x)
-        for r in a:
-            r[0], r[j] = r[j], r[0]
-        pivot_row, rest = a[i], a[:i] + a[i + 1:]
-        while True:
-            for j in range(1, len(pivot_row)):
-                q = pivot_row[j]
-                if q == 0:
-                    continue
-                p = pivot_row[0]
-                if q % p == 0:
-                    f = q // p
-                    for r in a:
-                        r[j] -= f * r[0]
-                else:
-                    g, x, y = xgcd(p, q)
-                    p, q = p // g, q // g
-                    for r in a:
-                        r[0], r[j] = x * r[0] + y * r[j], p * r[j] - q * r[0]
-            p = pivot_row[0]
-            for r in rest:
-                q = r[0]
-                if q % p:
-                    g, x, y = xgcd(p, q)
-                    p, q = p // g, q // g
-                    pivot_row[:], r[:] = (
-                        [x * u + y * w for u, w in zip(pivot_row, r)],
-                        [p * w - q * u for u, w in zip(pivot_row, r)],
-                    )
-                    break
-                r[0] = 0  # the pivot row is (p, 0, ..., 0) here, so subtracting q/p of it touches only r[0]
-            else:
-                break
-        diag.append(abs(pivot_row[0]))
-        a = [r[1:] for r in rest]
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            g = gcd(diag[i], diag[j])
-            diag[i], diag[j] = g, diag[i] // g * diag[j]
-    return diag
+    a = b = c = 0
+    top, bottom = (*rows, (), ())[:2]
+    for x, y in zip_longest(top, bottom, fillvalue=0):
+        if not x:
+            if y:
+                c = gcd(c, y)
+        elif a and x % a == 0:  # (x, y) - (x/a)(a, b) = (0, y - (x/a)b), the common case once a is small
+            c = gcd(c, y - x // a * b)
+        else:  # a shrinks to a proper divisor, so this runs at most log2(a) + 1 times
+            g, s, t = xgcd(a, x)
+            a, b, c = g, s * b + t * y, gcd(c, (a * y - x * b) // g)
+            if c:
+                b %= c  # keeps b small; only b mod c enters d1
+    d1 = gcd(a, b, c)
+    return [d for d in (d1, a * c // d1) if d] if d1 else []
 
 
 def _thin_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -346,12 +315,12 @@ def _thin_rank(rows: Sequence[Sequence[int]]) -> int:
 
 
 def rank(m: IntMatrix) -> int:
-    """Rank of an integer matrix: 2x2 minors if it has at most two rows or columns, else its Smith invariants."""
+    """Rank of an integer matrix: 2x2 minors if it has at most two rows or columns, else the Smith diagonal of snf."""
     if m.rows <= 2:
         return _thin_rank(m.entries)
     if m.cols <= 2:
         return _thin_rank(tuple(zip(*m.entries)))
-    return len(_smith_diagonal(m))
+    return sum(map(bool, snf(m)[1].diagonal()))
 
 
 def _normalize_column_sign(column: Sequence[int]) -> tuple[int, ...]:
@@ -398,8 +367,13 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
 
 
 def cokernel_structure(m: IntMatrix) -> AbelianGroup:
-    """Isomorphism type of Z^rows / column-span(m), read off the Smith invariants."""
-    nonzero = _smith_diagonal(m)
+    """Isomorphism type of Z^rows / column-span(m), read off the Smith invariants of its thin side, else of snf."""
+    if m.rows <= 2:
+        nonzero = _thin_invariants(m.entries)
+    elif m.cols <= 2:
+        nonzero = _thin_invariants(tuple(zip(*m.entries)))
+    else:
+        nonzero = [x for x in snf(m)[1].diagonal() if x]
     return AbelianGroup(
         free_rank=m.rows - len(nonzero),
         invariant_factors=tuple(x for x in nonzero if x >= 2),

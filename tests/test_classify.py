@@ -118,14 +118,14 @@ class TestIsSymplectic:
         assert b.surface_relation_holds()  # so the spectral oracle runs too
         relation_calls = count_calls(monkeypatch, fiber_relation_matrix)
         thin_calls = count_calls(monkeypatch, exactla._thin_rank)
-        diagonal_calls = count_calls(monkeypatch, exactla._smith_diagonal)
+        invariant_calls = count_calls(monkeypatch, exactla._thin_invariants)
         blocks = []
         minus_identity = SL2Z.minus_identity
         monkeypatch.setattr(SL2Z, "minus_identity", lambda m: blocks.append(m) or minus_identity(m))
         assert is_symplectic(b).cross_checks.all_pass()
         assert len(relation_calls) == 2  # the bundle's b1 and its flat twin's; the spectral test reuses b2
         assert len(thin_calls) == 4  # those two ranks, Fox D1 and D2
-        assert len(diagonal_calls) == 0  # no cokernel is built
+        assert len(invariant_calls) == 0  # no cokernel is built
         assert blocks == []  # the relation matrices are built from the entries, not from A - I blocks
 
     @pytest.mark.parametrize("oracle", ["betti", "spectral"])
@@ -150,12 +150,12 @@ class TestKernelSplit:
         snf_calls = count_calls(monkeypatch, snf)
         kernel_calls = count_calls(monkeypatch, integer_kernel)
         thin_calls = count_calls(monkeypatch, exactla._thin_rank)
-        diagonal_calls = count_calls(monkeypatch, exactla._smith_diagonal)
+        invariant_calls = count_calls(monkeypatch, exactla._thin_invariants)
         assert is_symplectic(b).cross_checks.all_pass()
         assert len(snf_calls) == 0
         assert len(kernel_calls) == 1  # the fixed lattice
         assert len(thin_calls) == 4  # the relation matrices of the bundle and of its flat twin, Fox D1 and D2
-        assert len(diagonal_calls) == 0
+        assert len(invariant_calls) == 0
 
     def test_a_wrong_diagonal_kernel_is_caught(self, monkeypatch):
         b = bundle([UPPER, IDENTITY, IDENTITY, UPPER.inverse()], euler=(0, 2))

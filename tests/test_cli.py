@@ -109,6 +109,13 @@ class TestSwCommands:
     def test_swpoly_rejects_zero_n(self, capsys):
         assert run(["swpoly", "--genus", "2", "--n", "0"]) == 1
 
+    def test_budgets_exit_1(self, capsys):
+        assert run(["swpoly", "--genus", "2", "--n", str(-(10**6))]) == 0
+        assert run(["swpoly", "--genus", "2", "--n", str(-(10**6) - 1)]) == 1
+        assert "--n must satisfy |n| <= 1000000" in capsys.readouterr().err
+        assert run(["verify-parity", "--g", "2..2", "--mn", "900..901"]) == 1  # the cell m = 900, n = 901
+        assert "has order 901, above the 800" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_sw0_route_disagreement_exits_2(self, fmt, monkeypatch, capsys):
         monkeypatch.setattr(torusbundles.swcalc, "sw4_zero_closed", lambda g, m, n: 99)

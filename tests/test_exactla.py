@@ -15,7 +15,8 @@ from torusbundles import (
     rank,
     snf,
 )
-from torusbundles.exactla import _smith_diagonal
+from torusbundles import exactla
+from torusbundles.exactla import _thin_invariants
 
 from support import snf_kernel
 
@@ -210,44 +211,6 @@ def _sympy_invariants(m):
 
 
 @st.composite
-def _matrices(draw):
-    """Thin 2 x N and N x 2 (N up to 257, the H1 width at genus 64), small squares, empty and zero.
-
-    Entries come from a drawn Random, since drawing up to 514 integers one by one costs seconds.
-    """
-    shape = draw(st.sampled_from(["wide", "tall", "square", "zero"]))
-    if shape in ("wide", "tall"):
-        n = draw(st.integers(0, 257))
-        rows, cols = (2, n) if shape == "wide" else (n, 2)
-    else:
-        rows = draw(st.integers(0, 5))
-        cols = rows if shape == "square" else draw(st.integers(0, 5))
-    bound = 0 if shape == "zero" else draw(st.sampled_from([1, 3, 10**6, 10**30]))
-    density = draw(st.sampled_from([0.1, 0.5, 1.0]))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-
-    def entry():
-        return rng.randint(-bound, bound) if rng.random() < density else 0
-
-    return IntMatrix([[entry() for _ in range(cols)] for _ in range(rows)], cols=cols)
-
-
-class TestSmithDiagonal:
-    """The transform-free kernel behind rank and cokernel_structure against snf and sympy."""
-
-    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
-    @given(_matrices())
-    def test_matches_snf_and_sympy(self, m):
-        diagonal = _smith_diagonal(m)
-        assert diagonal == [x for x in snf(m)[1].diagonal() if x != 0]
-        assert diagonal == _sympy_invariants(m)
-
-    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 2), (1, 257), (257, 1)])
-    def test_empty_and_zero_matrices(self, shape):
-        assert _smith_diagonal(IntMatrix.zeros(*shape)) == []
-
-
-@st.composite
 def _thin_matrices(draw):
     """0 x N, 1 x N, 2 x N, N x 1 and N x 2 (N <= 257), entries up to 10^50.
 
@@ -275,6 +238,35 @@ def _thin_matrices(draw):
     return m.transpose() if tall else m
 
 
+def _thin_rows(m):
+    """The thin side of m, read as at most two rows."""
+    return m.entries if m.rows <= 2 else m.transpose().entries
+
+
+class TestSmithDiagonal:
+    """_thin_invariants, the nonzero Smith diagonal behind cokernel_structure, against snf and sympy."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(_thin_matrices())
+    def test_matches_snf_and_sympy(self, m):
+        diagonal = _thin_invariants(_thin_rows(m))
+        assert diagonal == [x for x in snf(m)[1].diagonal() if x != 0]
+        assert diagonal == _sympy_invariants(m)
+        assert cokernel_structure(m) == AbelianGroup(m.rows - len(diagonal), tuple(x for x in diagonal if x > 1))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 2), (1, 257), (257, 1)])
+    def test_empty_and_zero_matrices(self, shape):
+        assert _thin_invariants(_thin_rows(IntMatrix.zeros(*shape))) == []
+
+    def test_thin_shapes_never_call_snf(self, monkeypatch):
+        monkeypatch.setattr(exactla, "snf", None)  # a call raises TypeError
+        wide = IntMatrix([[2, 4, 6], [0, 0, 8]])  # span Z(2, 0) + Z(0, 8)
+        for m in (wide, wide.transpose(), IntMatrix([[3, 0, 5, 7]]), IntMatrix([[0]] * 3)):
+            assert rank(m) == len(_thin_invariants(_thin_rows(m)))
+        assert cokernel_structure(wide) == AbelianGroup(0, (2, 8))
+        assert cokernel_structure(wide.transpose()) == AbelianGroup(1, (2, 8))
+
+
 class TestThinRank:
     """rank on at most two rows or columns, one pass of 2x2 minors, against the Smith diagonal and sympy."""
 
@@ -285,7 +277,7 @@ class TestThinRank:
 
         reference = Matrix(m.rows, m.cols, [x for r in m.entries for x in r])
         # the entries stay exact rationals, so == 0 is exact and spares the default symbolic zero test
-        assert rank(m) == len(_smith_diagonal(m)) == reference.rank(iszerofunc=lambda x: x == 0)
+        assert rank(m) == len(_thin_invariants(_thin_rows(m))) == reference.rank(iszerofunc=lambda x: x == 0)
 
 
 def _sympy_hermite(k):
@@ -341,7 +333,7 @@ class TestHermiteKernel:
         assert k.rows == m.cols
         assert (m @ k).is_zero()
         assert rank(m) + k.cols == m.cols
-        assert _smith_diagonal(k) == [1] * k.cols  # saturated: Z^cols / lattice is torsion-free
+        assert cokernel_structure(k) == AbelianGroup(k.rows - k.cols)  # saturated: Z^rows / lattice is torsion-free
         reference = snf_kernel(m)
         assert k.cols == reference.cols
         if k.cols:

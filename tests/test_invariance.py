@@ -1,7 +1,7 @@
 """Answers that must not change under operations giving an isomorphic bundle.
 
 Each example runs is_symplectic, so the rule route's Hermite kernel is checked against the oracles'
-Smith diagonal on every matrix drawn, before and after the operation.
+2x2-minor ranks on every matrix drawn, before and after the operation.
 """
 
 import random

@@ -9,6 +9,7 @@ from torusbundles import (
     TorusBundle,
     fixed_sublattice,
     fox_boundary_matrices,
+    h1_total_space,
     integer_kernel,
     is_symplectic,
     parse_bundle,
@@ -23,11 +24,11 @@ def _one_unipotent(g):
     return TorusBundle(g, (UPPER,) + (IDENTITY,) * (2 * g - 1), (3, 0))
 
 
-def _peak_bytes(b):
-    fixed_sublattice(b)  # once untraced, so the traced call allocates only what the bundle's size needs
+def _peak_bytes(b, fn=fixed_sublattice):
+    fn(b)  # once untraced, so the traced call allocates only what the bundle's size needs
     tracemalloc.start()
     try:
-        fixed_sublattice(b)
+        fn(b)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -36,6 +37,11 @@ def _peak_bytes(b):
 def test_fixed_lattice_memory_is_linear_in_genus():
     # a 4g x 2 stack and a column reduction grow 4-fold from g = 50 to 200; a 4g x 4g transform grows 16-fold
     assert _peak_bytes(_one_unipotent(200)) / _peak_bytes(_one_unipotent(50)) <= 4.5
+
+
+def test_h1_memory_is_linear_in_genus():
+    # the 2 x (4g + 1) relation matrix grows 4-fold from g = 50 to 200, and its invariants are read in one pass
+    assert _peak_bytes(_one_unipotent(200), h1_total_space) / _peak_bytes(_one_unipotent(50), h1_total_space) <= 4.5
 
 
 @pytest.mark.parametrize("g", [2, 50, 200])

@@ -39,6 +39,17 @@ class TestCyclicSubgroup:
         with pytest.raises(ValueError):
             cyclic_subgroup(1, 0)
 
+    def test_rejects_an_order_above_the_budget(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"m = 1 mod n = -(10{30}) has order \1, above the 800 "):
+            cyclic_subgroup(1, -(10**30))
+        with pytest.raises(ValueError, match="has order 801"):
+            sw4_zero_routes(3, 2, 801)
+        assert len(cyclic_subgroup(4 * 10**29, 2 * 10**30)) == 5  # a huge n with a small order still runs
+        monkeypatch.setattr(swcalc, "MAX_SUBGROUP_ORDER", 4)
+        assert len(cyclic_subgroup(3, 4)) == 4
+        with pytest.raises(ValueError, match="order 5, above the 4 "):
+            cyclic_subgroup(3, 5)
+
     def test_residue_set_closure_enforced(self):
         with pytest.raises(ValueError):
             ResidueSet(modulus=4, members=(0, 1))
