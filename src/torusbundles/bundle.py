@@ -71,10 +71,6 @@ class SL2Z(Record):
         return cls._trusted(1, 0, 0, 1)
 
     @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    @property
     def is_identity(self) -> bool:
         return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
 
@@ -96,9 +92,6 @@ class SL2Z(Record):
 
     def conjugate(self, p: "SL2Z") -> "SL2Z":
         return p * self * p.inverse()
-
-    def minus_identity(self) -> IntMatrix:
-        return IntMatrix._trusted(((self.a - 1, self.b), (self.c, self.d - 1)), 2)
 
     def rows(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]
@@ -130,12 +123,6 @@ class Lattice(Record):
         (z1, z2) = self.basis[0]
         # multiples of the primitive generator are exactly the parallel vectors
         return v[0] * z2 - v[1] * z1 == 0
-
-    def spans_same_line(self, other: "Lattice") -> bool:
-        if self.rank != 1 or other.rank != 1:
-            return False
-        (a1, a2), (b1, b2) = self.basis[0], other.basis[0]
-        return a1 * b2 - a2 * b1 == 0
 
 
 class TorusBundle(Record):

@@ -48,9 +48,6 @@ class CrossChecks(Record):
     betti_oracle: bool
     spectral_oracle: bool | None
 
-    def all_pass(self) -> bool:
-        return self.betti_oracle and self.spectral_oracle is not False
-
 
 class ClassificationReport(Record):
     b1: int

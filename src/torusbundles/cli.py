@@ -29,6 +29,10 @@ SIGN_CONVENTION = (
 _YES = {True: "yes", False: "no"}
 # swpoly lists one coefficient per residue mod |n|: at |n| = 10**6 that is 7 MB of JSON in about 1 s
 MAX_LISTED_MODULUS = 10**6
+# verify-parity's largest grid, scored cells * max(|m|, |n|, g)^3 before any cell runs: a cell's subgroup order is at
+# most max(|m|, |n|), whose closure check is cubic, and its binomial sums grow faster than g^2.  g 2..20 with m, n in
+# -20..20 scores 2.6e8 and took 2.6 s; g 2..2 with m, n in 790..792 scores 4.5e9 and took 31.9 s.
+MAX_PARITY_WORK = 3 * 10**9
 # a cross-check flag of the classification; None means the spectral oracle did not apply
 _AGREE = {True: "agree", False: "disagree", None: "skipped (monodromy violates the surface relation)"}
 
@@ -184,6 +188,12 @@ def _verify_parity(args: argparse.Namespace) -> dict[str, Any]:
     mn_range = _parse_range(args.mn, "--mn")
     if g_range.start < 2:
         raise ValueError(f"--g range must start at 2 or above, got {args.g}")
+    cells = (g_range.stop - g_range.start) * (mn_range.stop - mn_range.start) ** 2  # len() overflows past 2**63
+    if cells * max(g_range.stop - 1, -mn_range.start, mn_range.stop - 1) ** 3 > MAX_PARITY_WORK:
+        raise ValueError(
+            f"the grid --g {args.g} --mn {args.mn} scores cells * max(|m|, |n|, g)^3 above {MAX_PARITY_WORK}; "
+            "narrow --mn or --g"
+        )
     return _plain(parity_sweep(g_range, mn_range, mn_range))
 
 

@@ -8,15 +8,14 @@ minors, and `cokernel_structure` (H1 for `homology`) reads d1 | d2 off a
 running Hermite basis of the column span, so the rule route and the oracles
 reach every verdict on different kernels.  `snf`, with both transforms, is the
 one general Smith algorithm: the tests' reference, and the fallback for wider
-shapes.  Determinants and binomial coefficients use Python's unbounded
-integers; nothing in this package touches floating point.
+shapes.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
 from math import comb, gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._record import Record
 
@@ -380,32 +379,6 @@ def cokernel_structure(m: IntMatrix) -> AbelianGroup:
     )
 
 
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix (fraction-free elimination)."""
-    if m.rows != m.cols:
-        raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def binomial(p: int, q: int) -> int:
     """C(p, q) with the convention that out-of-range q gives 0.
 
@@ -418,25 +391,3 @@ def binomial(p: int, q: int) -> int:
         return 0
     return comb(p, q)
 
-
-def stack_rows(matrices: Iterable[IntMatrix]) -> IntMatrix:
-    """Stack matrices vertically; all must share a column count."""
-    mats = list(matrices)
-    if not mats:
-        raise ValueError("nothing to stack")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ValueError("column count mismatch in vertical stack")
-    return IntMatrix._trusted(tuple(row for m in mats for row in m.entries), cols)
-
-
-def stack_columns(matrices: Iterable[IntMatrix]) -> IntMatrix:
-    """Stack matrices horizontally; all must share a row count."""
-    mats = list(matrices)
-    if not mats:
-        raise ValueError("nothing to stack")
-    height = mats[0].rows
-    if any(m.rows != height for m in mats):
-        raise ValueError("row count mismatch in horizontal stack")
-    rows = tuple(tuple(x for m in mats for x in m.entries[i]) for i in range(height))
-    return IntMatrix._trusted(rows, sum(m.cols for m in mats))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,10 @@ class TestSwCommands:
         assert "--n must satisfy |n| <= 1000000" in capsys.readouterr().err
         assert run(["verify-parity", "--g", "2..2", "--mn", "900..901"]) == 1  # the cell m = 900, n = 901
         assert "has order 901, above the 800" in capsys.readouterr().err
+        start = time.perf_counter()
+        assert run(["sw0", "--genus", "100000", "--m", "1", "--n", "3"]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == "error: genus 100000 is above the 3000 that the SW routes take\n"
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_sw0_route_disagreement_exits_2(self, fmt, monkeypatch, capsys):
@@ -149,6 +154,24 @@ class TestVerifyParity:
         payload = json.loads(capsys.readouterr().out)
         assert payload["cases"] == 4
         assert payload["all_even"] is True
+
+    @pytest.mark.parametrize(
+        "g, mn", [("2..2", "790..792"), ("2..3", "-1000000000..1000000000"), ("2..3000", "1..2")]
+    )
+    def test_a_grid_above_the_budget_is_refused_before_it_runs(self, g, mn, capsys):
+        start = time.perf_counter()
+        assert run(["verify-parity", "--g", g, "--mn", mn]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.endswith("above 3000000000; narrow --mn or --g\n")
+
+    def test_the_grid_budget_is_inclusive(self, monkeypatch, capsys):
+        sweeps = count_calls(monkeypatch, torusbundles.cli.parity_sweep)
+        monkeypatch.setattr(torusbundles.cli, "MAX_PARITY_WORK", 4 * 2**3)  # 1 genus, 2 x 2 cells, max(|m|, |n|) = 2
+        assert run(["verify-parity", "--g", "2..2", "--mn", "1..2"]) == 0
+        assert run(["verify-parity", "--g", "2..2", "--mn", "-2..-1"]) == 0
+        monkeypatch.setattr(torusbundles.cli, "MAX_PARITY_WORK", 4 * 2**3 - 1)
+        assert run(["verify-parity", "--g", "2..2", "--mn", "1..2"]) == 1
+        assert len(sweeps) == 2
 
     def test_bad_range_syntax(self, capsys):
         assert run(["verify-parity", "--g", "2-3", "--mn", "1..2"]) == 1

@@ -10,7 +10,6 @@ from torusbundles import (
     IntMatrix,
     binomial,
     cokernel_structure,
-    determinant,
     integer_kernel,
     rank,
     snf,
@@ -28,10 +27,12 @@ def random_matrix(rng, max_dim=6, bound=9):
 
 
 def assert_snf_contract(m):
+    from sympy import Matrix
+
     u, d, v = snf(m)
     assert (u @ m @ v) == d
-    assert abs(determinant(u)) == 1
-    assert abs(determinant(v)) == 1
+    assert abs(Matrix(u.entries).det()) == 1
+    assert abs(Matrix(v.entries).det()) == 1
     diag = d.diagonal()
     for i in range(m.rows):
         for j in range(m.cols):
@@ -135,9 +136,11 @@ class TestKernel:
         assert integer_kernel(IntMatrix.identity(2)).cols == 0
 
     def test_zero_matrix_full_kernel(self):
+        from sympy import Matrix
+
         k = integer_kernel(IntMatrix.zeros(2, 4))
         assert k.cols == 4
-        assert abs(determinant(k)) == 1  # basis of all of Z^4
+        assert abs(Matrix(k.entries).det()) == 1  # basis of all of Z^4
 
     def test_kernel_annihilates_and_saturates(self):
         rng = random.Random(555)

@@ -85,12 +85,12 @@ class TestPolynomial:
         assert sw_poly_circle_bundle(2, 4).coefficients == (-2, 0, 2, 0)
 
     def test_unit_euler_number_gives_zero(self):
-        assert sw_poly_circle_bundle(2, 1).is_zero()
+        assert sw_poly_circle_bundle(2, 1).terms == ()
 
     def test_fold_examples(self):
         assert fold_product_poly(2, 3).coefficients == (-2, 1, 1)
         assert fold_product_poly(2, 4).coefficients == (-2, 0, 2, 0)
-        assert fold_product_poly(2, 2).is_zero()
+        assert fold_product_poly(2, 2).terms == ()
 
     def test_two_route_equality(self):
         for g in range(2, 7):
@@ -130,6 +130,26 @@ class TestPolynomial:
             sw_poly_circle_bundle(1, 3)
         with pytest.raises(ValueError):
             sw_poly_circle_bundle(2, 0)
+
+    def test_rejects_a_genus_above_the_budget(self, monkeypatch):
+        assert swcalc.MAX_SW_GENUS >= 200  # the largest genus that the tests and the SW ladder use
+        huge = swcalc.MAX_SW_GENUS + 1
+        calls = [
+            lambda: product_sw_coefficients(huge),
+            lambda: sw_poly_circle_bundle(huge, 3),
+            lambda: fold_product_poly(huge, 3),
+            lambda: sw4_zero_routes(huge, 1, 3),
+            lambda: sw4_zero_nonpullback(huge, 2, 4),
+            lambda: parity_sweep([2, huge], [1], [3]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^genus {huge} is above the {swcalc.MAX_SW_GENUS} "):
+                call()
+        monkeypatch.setattr(swcalc, "MAX_SW_GENUS", 4)
+        coset, closed = sw4_zero_routes(4, 1, 3)  # the bound itself is taken
+        assert closed == coset
+        with pytest.raises(ValueError, match="^genus 5 is above the 4 "):
+            sw4_zero_routes(5, 1, 3)
 
     def test_modulus_mismatch_rejected(self):
         for terms in [((3, 1),), ((-1, 1),), ((1, 2), (1, -2))]:  # out of range, below 0, repeated
