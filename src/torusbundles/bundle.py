@@ -252,11 +252,6 @@ def parse_bundle(text: str) -> TorusBundle:
     return bundle_from_dict(obj)
 
 
-def serialize_bundle(b: TorusBundle, indent: int | None = None) -> str:
-    """Render a bundle in the same format parse_bundle accepts."""
-    return json.dumps(b.to_dict(), indent=indent)
-
-
 def _lattice_from_kernel_columns(basis_matrix: IntMatrix) -> Lattice:
     columns = [(col[0], col[1]) for col in basis_matrix.columns()]
     return Lattice(rank=len(columns), basis=tuple(columns))

@@ -82,11 +82,6 @@ def _fiber_class_from_fixed(b: TorusBundle, fixed: Lattice) -> bool:
     return fixed.contains(b.euler)
 
 
-def fiber_class_nonzero(b: TorusBundle) -> bool:
-    """Whether the fiber class is nonzero in real second homology."""
-    return _fiber_class_from_fixed(b, fixed_sublattice(b))
-
-
 _STATEMENTS = {
     "trivial-bundle": "trivial monodromy and zero Euler class: the product bundle, fiber class nonzero",
     "principal-both-euler-components-nonzero": (

@@ -30,8 +30,9 @@ _YES = {True: "yes", False: "no"}
 # swpoly lists one coefficient per residue mod |n|: at |n| = 10**6 that is 7 MB of JSON in about 1 s
 MAX_LISTED_MODULUS = 10**6
 # verify-parity's largest grid, scored cells * max(|m|, |n|, g)^3 before any cell runs: a cell's subgroup order is at
-# most max(|m|, |n|), whose closure check is cubic, and its binomial sums grow faster than g^2.  g 2..20 with m, n in
-# -20..20 scores 2.6e8 and took 2.6 s; g 2..2 with m, n in 790..792 scores 4.5e9 and took 31.9 s.
+# most max(|m|, |n|), whose closure check is cubic, and its two binomial rows cost about g^2 (one cell took 9 ms at
+# g = 1,443 and 34 ms at g = 3,000).  g 2..20 with m, n in -20..20 scores 2.6e8 and took 2.6 s; g 2..2 with m, n in
+# 790..792 scores 4.5e9 and took 31.9 s.
 MAX_PARITY_WORK = 3 * 10**9
 # a cross-check flag of the classification; None means the spectral oracle did not apply
 _AGREE = {True: "agree", False: "disagree", None: "skipped (monodromy violates the surface relation)"}

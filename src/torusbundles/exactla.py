@@ -14,7 +14,7 @@ shapes.
 from __future__ import annotations
 
 from itertools import zip_longest
-from math import comb, gcd
+from math import gcd
 from typing import Sequence
 
 from ._record import Record
@@ -377,17 +377,4 @@ def cokernel_structure(m: IntMatrix) -> AbelianGroup:
         free_rank=m.rows - len(nonzero),
         invariant_factors=tuple(x for x in nonzero if x >= 2),
     )
-
-
-def binomial(p: int, q: int) -> int:
-    """C(p, q) with the convention that out-of-range q gives 0.
-
-    Returns 0 for q < 0 or q > p; rejects negative p, which no in-scope
-    formula ever produces.
-    """
-    if p < 0:
-        raise ValueError(f"binomial requires p >= 0, got p={p}")
-    if q < 0 or q > p:
-        return 0
-    return comb(p, q)
 

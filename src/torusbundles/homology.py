@@ -66,15 +66,6 @@ def betti(b: TorusBundle) -> tuple[int, int]:
     return b1, 2 * b1 - 2
 
 
-def has_fiber_circle_action(b: TorusBundle) -> bool:
-    """Whether the bundle supports a free circle action preserving fibers.
-
-    Equivalent to the monodromy having a common nonzero fixed vector; the
-    Euler class plays no role.
-    """
-    return fixed_sublattice(b).rank >= 1
-
-
 def trichotomy(b: TorusBundle) -> Trichotomy:
     """Classify a flat bundle by its fiberwise circle actions.
 

@@ -13,6 +13,9 @@ Two independent routes compute the same polynomial:
     c_s = (-1)^(g-1+s) * C(2g-2, g-1+s),  s in [-(g-1), g-1],
     into residues (even n folds into even indices only).
 
+The routes share no binomial code: each builds its own row of C(2g-2, q), one
+upward and one downward, so a fault in either row shows up as a disagreement.
+
 On top of the polynomial sit the degree-zero invariants of the associated
 principal torus bundle: a coset-sum evaluation, a closed form with a
 multiplicity prefactor |n| / gcd(|2m|, |n|), and the prefactor-free variant
@@ -32,7 +35,6 @@ from typing import Iterable
 
 from ._record import Record
 from .bundle import require_genus
-from .exactla import binomial
 
 
 class UnsupportedParityError(ValueError):
@@ -120,13 +122,14 @@ def cyclic_subgroup(m: int, n: int) -> ResidueSet:
     return ResidueSet(modulus=modulus, members=tuple(range(0, modulus, step)))
 
 
-# The largest genus the SW routes take.  Each route computes 2g - 1 binomials C(2g-2, q) from scratch:
-# sw4_zero_routes took 2.5 s at g = 2,000 and 7.5 s at g = 3,000 on a 2-vCPU host with Python 3.11.7.
-MAX_SW_GENUS = 3000
+# The largest genus the SW routes take: every value must print under Python's default 4,300-digit limit, which the
+# CLI still holds while it renders swpoly.  An sw0 value is at most MAX_SUBGROUP_ORDER * 2^(2g-2), 4,217 digits at
+# g = 7,000 (past 4,300 from g = 7,139); there swpoly and sw0 at n = 3 took 0.2 s on a 2-vCPU Xeon, Python 3.11.7.
+MAX_SW_GENUS = 7000
 
 
 def _require_sw_genus(g: int) -> None:
-    """require_genus, and refuse a genus above MAX_SW_GENUS, whose binomial sums would run for about 10 s or more."""
+    """require_genus, and refuse a genus above MAX_SW_GENUS, whose values could pass the digit limit for printing."""
     require_genus(g)
     if g > MAX_SW_GENUS:
         raise ValueError(f"genus {g} is above the {MAX_SW_GENUS} that the SW routes take")
@@ -140,8 +143,11 @@ def product_sw_coefficients(g: int) -> tuple[int, ...]:
     polynomial for every n.
     """
     _require_sw_genus(g)
-    # q = (g-1) + s runs over 0..2g-2
-    return tuple((-1) ** q * binomial(2 * g - 2, q) for q in range(2 * g - 1))
+    # q = (g-1) + s runs over 0..2g-2, built upward: C(2g-2, q+1) = C(2g-2, q) (2g-2-q) / (q+1), exactly
+    row = [1]
+    for q in range(2 * g - 2):
+        row.append(-row[-1] * (2 * g - 2 - q) // (q + 1))
+    return tuple(row)
 
 
 def _require_nonzero(n: int) -> None:
@@ -153,10 +159,9 @@ def _sign(n: int) -> int:
     return 1 if n > 0 else -1
 
 
-def _alternating_binomial_sum(g: int, i: int, step: int) -> int:
-    """Sum over integers k of (-1)^q C(2g-2, q) with q = (g-1) + i + k*step, visiting only q in [0, 2g-2]."""
-    top = 2 * g - 2
-    return sum((-1) ** q * binomial(top, q) for q in range((g - 1 + i) % step, top + 1, step))
+def _alternating_binomial_sum(row: list[int], start: int, step: int) -> int:
+    """Sum of the signed row (-1)^q C(2g-2, q) over q = start, start + step, ... up to 2g-2."""
+    return sum(row[start::step])
 
 
 def sw_poly_circle_bundle(g: int, n: int) -> SWPolynomial:
@@ -166,15 +171,21 @@ def sw_poly_circle_bundle(g: int, n: int) -> SWPolynomial:
     coefficient sign(n) * sum_k (-1)^q C(2g-2, q), q = (g-1) + i + k|l|; for
     odd n the same sum with |l| replaced by |n| lands at index i directly.
     Only the residues i = (q - (g-1)) mod step, 0 <= q <= 2g-2, have a term
-    in the sum, so only those are evaluated.
+    in the sum, so each is evaluated once, from its smallest q.
     """
     _require_sw_genus(g)
     _require_nonzero(n)
     sign = _sign(n)
     spacing = 2 if n % 2 == 0 else 1
     step = abs(n) // spacing
-    residues = {(q - (g - 1)) % step for q in range(2 * g - 1)}
-    terms = tuple((spacing * i, sign * _alternating_binomial_sum(g, i, step)) for i in residues)
+    top = 2 * g - 2
+    row = [0] * top + [1]  # (-1)^q C(top, q), built downward from q = top (even): C(top, q-1) = C(top, q) q / (top-q+1)
+    for q in range(top, 0, -1):
+        row[q - 1] = -row[q] * q // (top - q + 1)
+    terms = tuple(
+        (spacing * ((q - (g - 1)) % step), sign * _alternating_binomial_sum(row, q, step))
+        for q in range(min(step, top + 1))
+    )
     return SWPolynomial(modulus=abs(n), terms=terms)
 
 

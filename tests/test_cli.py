@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -119,7 +120,18 @@ class TestSwCommands:
         start = time.perf_counter()
         assert run(["sw0", "--genus", "100000", "--m", "1", "--n", "3"]) == 1
         assert time.perf_counter() - start < 1
-        assert capsys.readouterr().err == "error: genus 100000 is above the 3000 that the SW routes take\n"
+        assert capsys.readouterr().err == "error: genus 100000 is above the 7000 that the SW routes take\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_the_largest_sw_genus_prints(self, fmt, capsys):
+        genus = str(torusbundles.swcalc.MAX_SW_GENUS)
+        # at n = 4 both coefficients are +-2^(2g-3), and sw0 at m = 4 reads the one at residue 0
+        assert run(["swpoly", "--genus", genus, "--n", "4", f"--format={fmt}"]) == 0
+        assert run(["sw0", "--genus", genus, "--m", "4", "--n", "4", f"--format={fmt}"]) == 0
+        assert run(["sw0", "--genus", genus, "--m", "1", "--n", "3", f"--format={fmt}"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert max(map(len, re.findall(r"\d+", captured.out))) == len(str(2 ** (2 * int(genus) - 3)))
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_sw0_route_disagreement_exits_2(self, fmt, monkeypatch, capsys):
@@ -132,7 +144,7 @@ class TestSwCommands:
     def test_sw0_scaled_alternating_sum_exits_2(self, monkeypatch, capsys):
         # the closed route's kernel only; the coset route reads the folded product coefficients
         real = torusbundles.swcalc._alternating_binomial_sum
-        tripled = lambda g, i, step: 3 * real(g, i, step)  # noqa: E731
+        tripled = lambda row, start, step: 3 * real(row, start, step)  # noqa: E731
         monkeypatch.setattr(torusbundles.swcalc, "_alternating_binomial_sum", tripled)
         assert run(["sw0", "--genus", "2", "--m", "3", "--n", "3"]) == 2
         captured = capsys.readouterr()

@@ -1,5 +1,5 @@
 import random
-from math import comb, gcd
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from torusbundles import (
     AbelianGroup,
     IntMatrix,
-    binomial,
     cokernel_structure,
     integer_kernel,
     rank,
@@ -155,38 +154,6 @@ class TestKernel:
                 for x in col:
                     g = gcd(g, abs(x))
                 assert g == 1  # primitive vector, so the lattice is saturated
-
-
-class TestBinomial:
-    def test_out_of_range_convention(self):
-        assert binomial(2, 3) == 0
-        assert binomial(2, -1) == 0
-
-    def test_central_value_and_evenness(self):
-        assert binomial(2, 1) == 2
-        for g in range(2, 51):
-            central = binomial(2 * g - 2, g - 1)
-            assert central % 2 == 0
-            assert central == 2 * binomial(2 * g - 3, g - 1)
-
-    def test_symmetry(self):
-        for p in range(0, 25):
-            for q in range(0, p + 1):
-                assert binomial(p, q) == binomial(p, p - q)
-
-    def test_pascal(self):
-        for p in range(1, 30):
-            for q in range(-3, p + 4):
-                assert binomial(p, q) == binomial(p - 1, q) + binomial(p - 1, q - 1)
-
-    def test_matches_comb_in_range(self):
-        for p in range(0, 20):
-            for q in range(0, p + 1):
-                assert binomial(p, q) == comb(p, q)
-
-    def test_rejects_negative_p(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
 
 
 class TestAbelianGroup:

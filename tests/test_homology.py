@@ -9,9 +9,9 @@ from torusbundles import (
     Trichotomy,
     betti,
     conjugate_bundle,
+    fixed_sublattice,
     h1_circle_bundle,
     h1_total_space,
-    has_fiber_circle_action,
     trichotomy,
 )
 
@@ -133,6 +133,6 @@ class TestTrichotomy:
 
 class TestCircleAction:
     def test_euler_class_is_irrelevant(self):
-        assert has_fiber_circle_action(bundle([IDENTITY] * 4, euler=(3, 2)))
-        assert has_fiber_circle_action(bundle([UPPER, IDENTITY, IDENTITY, IDENTITY], euler=(1, 1)))
-        assert not has_fiber_circle_action(bundle([ROTATION, IDENTITY, IDENTITY, IDENTITY], euler=(1, 1)))
+        assert fixed_sublattice(bundle([IDENTITY] * 4, euler=(3, 2))).rank >= 1
+        assert fixed_sublattice(bundle([UPPER, IDENTITY, IDENTITY, IDENTITY], euler=(1, 1))).rank >= 1
+        assert fixed_sublattice(bundle([ROTATION, IDENTITY, IDENTITY, IDENTITY], euler=(1, 1))).rank == 0

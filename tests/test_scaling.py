@@ -1,5 +1,6 @@
 """How classification scales with the genus, measured in bytes and counts rather than seconds."""
 
+import json
 import tracemalloc
 
 import pytest
@@ -14,7 +15,6 @@ from torusbundles import (
     is_symplectic,
     parse_bundle,
     relation_sublattice,
-    serialize_bundle,
 )
 
 from support import IDENTITY, UPPER, replace_everywhere, snf_kernel
@@ -49,7 +49,7 @@ def test_sl2z_is_checked_at_the_boundary_only(monkeypatch, g):
     # products, inverses and the identity of checked matrices have determinant 1, so the Fox walk builds
     # them unchecked; a check per product made 69 / 30,501 / 482,001 constructions at g = 2 / 50 / 200
     b = _one_unipotent(g)
-    text = serialize_bundle(b)
+    text = json.dumps(b.to_dict())
     calls, checked = [], SL2Z.__init__
 
     def counted(self, *entries):

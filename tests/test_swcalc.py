@@ -1,4 +1,4 @@
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +19,13 @@ from torusbundles import (
     sw_poly_circle_bundle,
     swcalc,
 )
+
+from support import count_calls
+
+
+def signed_row(g):
+    """(-1)^q C(2g-2, q) for q = 0..2g-2 by math.comb, the reference for both routes' rows."""
+    return tuple((-1) ** q * comb(2 * g - 2, q) for q in range(2 * g - 1))
 
 
 class TestCyclicSubgroup:
@@ -64,6 +71,14 @@ class TestProductCoefficients:
     def test_examples(self):
         assert product_sw_coefficients(2) == (1, -2, 1)
         assert product_sw_coefficients(3) == (1, -4, 6, -4, 1)
+        for g in range(2, 301):
+            assert product_sw_coefficients(g) == signed_row(g), g
+
+    def test_central_value_and_evenness(self):
+        for g in range(2, 301):
+            central = product_sw_coefficients(g)[g - 1]  # c_0 = (-1)^(g-1) C(2g-2, g-1)
+            assert central % 2 == 0
+            assert abs(central) == 2 * comb(2 * g - 3, g - 1)
 
     def test_symmetry_alternation_and_zero_sum(self):
         for g in range(2, 12):
@@ -80,12 +95,30 @@ class TestPolynomial:
         poly = sw_poly_circle_bundle(2, 5)
         assert poly.coefficients == (-2, 1, 0, 0, 1)
         assert poly.render() == "-2 + 1*t^1 + 1*t^4"
+        for g in range(2, 301):
+            n = 2 * g - 1  # odd and above 2g - 2, so residue (q - (g-1)) mod n holds the single term q
+            coefficients = sw_poly_circle_bundle(g, n).coefficients
+            assert tuple(coefficients[(q - (g - 1)) % n] for q in range(2 * g - 1)) == signed_row(g), g
 
     def test_even_example(self):
         assert sw_poly_circle_bundle(2, 4).coefficients == (-2, 0, 2, 0)
 
     def test_unit_euler_number_gives_zero(self):
         assert sw_poly_circle_bundle(2, 1).terms == ()
+
+    def test_each_route_builds_its_row_once(self, monkeypatch):
+        sums = count_calls(monkeypatch, swcalc._alternating_binomial_sum)
+        for g, n in [(2, 3), (3, -2), (5, 7), (5, 100), (6, -101), (20, 10**30)]:
+            sums.clear()
+            sw_poly_circle_bundle(g, n)
+            step = abs(n) // (2 if n % 2 == 0 else 1)
+            residues = {(q - (g - 1)) % step for q in range(2 * g - 1)}
+            assert len(sums) == len(residues) <= 2 * g - 1, (g, n)
+            assert len({start for _, start, _ in sums}) == len(sums)
+        rows = count_calls(monkeypatch, swcalc.product_sw_coefficients)
+        fold_product_poly.cache_clear()
+        fold_product_poly(20, 10**30)
+        assert len(rows) == 1
 
     def test_fold_examples(self):
         assert fold_product_poly(2, 3).coefficients == (-2, 1, 1)
@@ -254,7 +287,7 @@ class TestRoutesShareNoPolynomialKernel:
 
     def test_scaled_alternating_sum_is_a_route_disagreement(self, monkeypatch):
         real = swcalc._alternating_binomial_sum
-        monkeypatch.setattr(swcalc, "_alternating_binomial_sum", lambda g, i, step: 3 * real(g, i, step))
+        monkeypatch.setattr(swcalc, "_alternating_binomial_sum", lambda row, start, step: 3 * real(row, start, step))
         report = parity_sweep(range(2, 6), range(-6, 7), range(-6, 7))
         monkeypatch.undo()
         cells = [(g, m, n) for g in range(2, 6) for m in range(-6, 7) for n in range(-6, 7) if m and n]
