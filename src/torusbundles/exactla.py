@@ -377,4 +377,3 @@ def cokernel_structure(m: IntMatrix) -> AbelianGroup:
         free_rank=m.rows - len(nonzero),
         invariant_factors=tuple(x for x in nonzero if x >= 2),
     )
-
