@@ -1,121 +1,74 @@
-"""Exact-arithmetic classification of symplectic torus bundles over genus >= 2 surfaces."""
+"""Exact-arithmetic classification of symplectic torus bundles over genus >= 2 surfaces.
 
-from .bundle import (
-    Lattice,
-    ParseError,
-    SL2Z,
-    TorusBundle,
-    ValidationError,
-    conjugate_bundle,
-    fixed_sublattice,
-    parse_bundle,
-    relation_sublattice,
-)
-from .classify import (
-    ClassificationReport,
-    CrossChecks,
-    InternalInconsistencyError,
-    ProductH1Class,
-    ProductH2Class,
-    RationaleEntry,
-    cup_product_annihilator,
-    invariant_symplectic_exists,
-    is_symplectic,
-    thurston_norm_product,
-)
-from .exactla import (
-    AbelianGroup,
-    IntMatrix,
-    cokernel_structure,
-    integer_kernel,
-    rank,
-    snf,
-    xgcd,
-)
-from .homology import (
-    NotFlatError,
-    Trichotomy,
-    betti,
-    h1_circle_bundle,
-    h1_total_space,
-    trichotomy,
-)
-from .spectral import (
-    E2Ranks,
-    e2_ranks,
-    fiber_class_via_spectral,
-    fox_boundary_matrices,
-    surface_relator,
-)
-from .swcalc import (
-    ResidueSet,
-    SweepCounterexample,
-    SweepReport,
-    SWPolynomial,
-    UnsupportedParityError,
-    cyclic_subgroup,
-    fold_product_poly,
-    parity_sweep,
-    product_sw_coefficients,
-    sw4_zero_closed,
-    sw4_zero_coset,
-    sw4_zero_nonpullback,
-    sw4_zero_routes,
-    sw_poly_circle_bundle,
-)
+Each public name is imported from its home module on first use (PEP 562), so a
+process compiles only the modules it reaches.  Submodules resolve the same way:
+after a bare ``import torusbundles``, ``torusbundles.swcalc`` loads swcalc.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianGroup",
-    "ClassificationReport",
-    "CrossChecks",
-    "E2Ranks",
-    "IntMatrix",
-    "InternalInconsistencyError",
-    "Lattice",
-    "NotFlatError",
-    "ParseError",
-    "ProductH1Class",
-    "ProductH2Class",
-    "RationaleEntry",
-    "ResidueSet",
-    "SL2Z",
-    "SWPolynomial",
-    "SweepCounterexample",
-    "SweepReport",
-    "TorusBundle",
-    "Trichotomy",
-    "UnsupportedParityError",
-    "ValidationError",
-    "betti",
-    "cokernel_structure",
-    "conjugate_bundle",
-    "cup_product_annihilator",
-    "cyclic_subgroup",
-    "e2_ranks",
-    "fiber_class_via_spectral",
-    "fixed_sublattice",
-    "fold_product_poly",
-    "fox_boundary_matrices",
-    "h1_circle_bundle",
-    "h1_total_space",
-    "integer_kernel",
-    "invariant_symplectic_exists",
-    "is_symplectic",
-    "parity_sweep",
-    "parse_bundle",
-    "product_sw_coefficients",
-    "rank",
-    "relation_sublattice",
-    "snf",
-    "surface_relator",
-    "sw4_zero_closed",
-    "sw4_zero_coset",
-    "sw4_zero_nonpullback",
-    "sw4_zero_routes",
-    "sw_poly_circle_bundle",
-    "thurston_norm_product",
-    "trichotomy",
-    "xgcd",
-]
+# home module -> the public names it defines; add a new public name here
+_HOMES = {
+    "_record": ("InternalInconsistencyError", "ValidationError"),
+    "bundle": (
+        "Lattice",
+        "ParseError",
+        "SL2Z",
+        "TorusBundle",
+        "conjugate_bundle",
+        "fixed_sublattice",
+        "parse_bundle",
+        "relation_sublattice",
+    ),
+    "classify": (
+        "ClassificationReport",
+        "CrossChecks",
+        "ProductH1Class",
+        "ProductH2Class",
+        "RationaleEntry",
+        "cup_product_annihilator",
+        "invariant_symplectic_exists",
+        "is_symplectic",
+        "thurston_norm_product",
+    ),
+    "exactla": ("AbelianGroup", "IntMatrix", "cokernel_structure", "integer_kernel", "rank", "snf", "xgcd"),
+    "homology": ("NotFlatError", "Trichotomy", "betti", "h1_circle_bundle", "h1_total_space", "trichotomy"),
+    "spectral": ("E2Ranks", "e2_ranks", "fiber_class_via_spectral", "fox_boundary_matrices", "surface_relator"),
+    "swcalc": (
+        "ResidueSet",
+        "SweepCounterexample",
+        "SweepReport",
+        "SWPolynomial",
+        "UnsupportedParityError",
+        "cyclic_subgroup",
+        "fold_product_poly",
+        "parity_sweep",
+        "product_sw_coefficients",
+        "sw4_zero_closed",
+        "sw4_zero_coset",
+        "sw4_zero_nonpullback",
+        "sw4_zero_routes",
+        "sw_poly_circle_bundle",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+_SUBMODULES = {*_HOMES, "cli"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

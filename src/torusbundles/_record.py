@@ -1,6 +1,23 @@
-"""Immutable value records on one shared base, with no methods generated per class."""
+"""What every module needs: immutable value records on one shared base, the genus check and the error types.
+
+Records generate no methods per class.  Keep this module small: the CLI imports it before it knows the subcommand.
+"""
 
 from __future__ import annotations
+
+
+class ValidationError(ValueError):
+    """Raised for semantically invalid bundle data (determinant, arity, genus)."""
+
+
+class InternalInconsistencyError(RuntimeError):
+    """An oracle disagreed with the rule-based verdict: an implementation bug, never a valid outcome."""
+
+
+def require_genus(g: int) -> None:
+    """Reject a base genus below 2, the range every computation in the package supports."""
+    if g < 2:
+        raise ValidationError(f"genus {g} is below the supported range (need g >= 2)")
 
 
 class Record:

@@ -15,22 +15,12 @@ import json
 from math import gcd
 from typing import Any
 
-from ._record import Record
+from ._record import Record, ValidationError, require_genus
 from .exactla import IntMatrix, integer_kernel
 
 
 class ParseError(ValueError):
     """Raised for syntactically or structurally malformed bundle documents."""
-
-
-class ValidationError(ValueError):
-    """Raised for semantically invalid bundle data (determinant, arity, genus)."""
-
-
-def require_genus(g: int) -> None:
-    """Reject a base genus below 2, the range every computation in the package supports."""
-    if g < 2:
-        raise ValidationError(f"genus {g} is below the supported range (need g >= 2)")
 
 
 def _show(x: int) -> str:

@@ -21,15 +21,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._record import Record
-from .bundle import Lattice, TorusBundle, fixed_sublattice, require_genus
+from ._record import InternalInconsistencyError, Record, require_genus
+from .bundle import Lattice, TorusBundle, fixed_sublattice
 from .exactla import IntMatrix, integer_kernel
 from .homology import betti
 from .spectral import e2_ranks
-
-
-class InternalInconsistencyError(RuntimeError):
-    """An oracle disagreed with the rule-based verdict: an implementation bug, never a valid outcome."""
 
 
 class RationaleEntry(Record):

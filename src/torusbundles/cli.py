@@ -5,6 +5,7 @@ renderer.  --format=json prints the payload; the default text is rendered from
 it alone (the verify-parity header also echoes the raw --g and --mn strings).
 Exit codes: 0 success, 1 input error (any ValueError), 2 internal cross-check
 inconsistency, which for sw0 and verify-parity is read off the payload.
+Each builder imports the modules it calls, so a subcommand compiles only those.
 """
 
 from __future__ import annotations
@@ -13,14 +14,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from ._record import Record
-from .bundle import ParseError, TorusBundle, parse_bundle
-from .classify import InternalInconsistencyError, is_symplectic
-from .homology import betti, h1_total_space
-from .spectral import e2_ranks
-from .swcalc import parity_sweep, sw4_zero_routes, sw_poly_circle_bundle
+from ._record import InternalInconsistencyError, Record
+
+if TYPE_CHECKING:
+    from .bundle import TorusBundle
 
 SIGN_CONVENTION = (
     "values are reported with the sign(n) normalization; "
@@ -58,6 +57,8 @@ def _parse_range(text: str, flag: str) -> range:
 
 
 def _load_bundle(path: str) -> TorusBundle:
+    from .bundle import ParseError, parse_bundle
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -78,6 +79,8 @@ def _plain(value: Any) -> Any:
 
 
 def _classify(args: argparse.Namespace) -> dict[str, Any]:
+    from .classify import is_symplectic
+
     bundle = _load_bundle(args.bundle_file)
     report = is_symplectic(bundle)
     return {"genus": bundle.genus, "euler": list(bundle.euler), "principal": bundle.is_principal, **_plain(report)}
@@ -100,6 +103,8 @@ def _classify_text(p: dict[str, Any], args: argparse.Namespace) -> Iterator[str]
 
 
 def _homology(args: argparse.Namespace) -> dict[str, Any]:
+    from .homology import h1_total_space
+
     group = h1_total_space(_load_bundle(args.bundle_file))
     # "h1" holds the group itself: run turns it into text for both formats, with the digit limit raised
     return {**_plain(group), "h1": group, "b1": group.free_rank, "b2": 2 * group.free_rank - 2}
@@ -113,6 +118,9 @@ def _homology_text(p: dict[str, Any], args: argparse.Namespace) -> Iterator[str]
 
 
 def _spectral(args: argparse.Namespace) -> dict[str, Any]:
+    from .homology import betti
+    from .spectral import e2_ranks
+
     bundle = _load_bundle(args.bundle_file)
     ranks = e2_ranks(bundle.genus, bundle.monodromy)
     _, b2 = betti(bundle)
@@ -135,6 +143,8 @@ def _spectral_text(p: dict[str, Any], args: argparse.Namespace) -> Iterator[str]
 
 
 def _swpoly(args: argparse.Namespace) -> dict[str, Any]:
+    from .swcalc import sw_poly_circle_bundle
+
     poly = sw_poly_circle_bundle(args.genus, args.n)
     if poly.modulus > MAX_LISTED_MODULUS:
         raise ValueError(f"--n must satisfy |n| <= {MAX_LISTED_MODULUS} for swpoly's dense coefficient list")
@@ -157,6 +167,8 @@ def _swpoly_text(p: dict[str, Any], args: argparse.Namespace) -> Iterator[str]:
 
 
 def _sw0(args: argparse.Namespace) -> dict[str, Any]:
+    from .swcalc import sw4_zero_routes
+
     coset, closed = sw4_zero_routes(args.genus, args.m, args.n)
     return {
         "genus": args.genus,
@@ -185,6 +197,8 @@ def _sw0_text(p: dict[str, Any], args: argparse.Namespace) -> Iterator[str]:
 
 
 def _verify_parity(args: argparse.Namespace) -> dict[str, Any]:
+    from .swcalc import parity_sweep
+
     g_range = _parse_range(args.g, "--g")
     mn_range = _parse_range(args.mn, "--mn")
     if g_range.start < 2:

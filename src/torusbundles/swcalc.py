@@ -33,8 +33,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable
 
-from ._record import Record
-from .bundle import require_genus
+from ._record import Record, require_genus
 
 
 class UnsupportedParityError(ValueError):

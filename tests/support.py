@@ -18,10 +18,14 @@ over SL(2,Z).
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
 import sys
 from math import gcd
+from pathlib import Path
 
+import torusbundles
 from torusbundles import SL2Z, IntMatrix, TorusBundle, fixed_sublattice, snf, xgcd
 
 IDENTITY = SL2Z.identity()
@@ -187,3 +191,17 @@ def sl2z_with_column(a: int, c: int) -> SL2Z:
     a, c = (a // g, c // g) if a or c else (1, 0)
     _, x, y = xgcd(a, c)
     return SL2Z(a, -y, c, x)
+
+
+def fresh_python(code: str) -> str:
+    """Run code in a new interpreter that imports this checkout's package; return the last line it prints."""
+    src = str(Path(torusbundles.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+        check=True,
+    )
+    return proc.stdout.splitlines()[-1]

@@ -1,7 +1,5 @@
 import json
-import os
 import re
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -13,7 +11,7 @@ import torusbundles.cli
 from torusbundles import SweepCounterexample, SweepReport, e2_ranks
 from torusbundles.cli import run
 
-from support import count_calls
+from support import count_calls, fresh_python
 
 TRIVIAL_DOC = {
     "genus": 2,
@@ -177,7 +175,7 @@ class TestVerifyParity:
         assert capsys.readouterr().err.endswith("above 3000000000; narrow --mn or --g\n")
 
     def test_the_grid_budget_is_inclusive(self, monkeypatch, capsys):
-        sweeps = count_calls(monkeypatch, torusbundles.cli.parity_sweep)
+        sweeps = count_calls(monkeypatch, torusbundles.swcalc.parity_sweep)
         monkeypatch.setattr(torusbundles.cli, "MAX_PARITY_WORK", 4 * 2**3)  # 1 genus, 2 x 2 cells, max(|m|, |n|) = 2
         assert run(["verify-parity", "--g", "2..2", "--mn", "1..2"]) == 0
         assert run(["verify-parity", "--g", "2..2", "--mn", "-2..-1"]) == 0
@@ -197,7 +195,7 @@ class TestVerifyParity:
     def test_counterexample_exits_2(self, fmt, monkeypatch, capsys):
         odd = SweepCounterexample(2, 1, 3, 7, "odd-value", "value 7 is odd")
         report = SweepReport(cases=1, skipped=0, all_even=False, counterexamples=(odd,))
-        monkeypatch.setattr(torusbundles.cli, "parity_sweep", lambda g, m, n: report)
+        monkeypatch.setattr(torusbundles.swcalc, "parity_sweep", lambda g, m, n: report)
         assert run(["verify-parity", "--g", "2..2", "--mn", "1..3", f"--format={fmt}"]) == 2
         captured = capsys.readouterr()
         assert "value 7 is odd" in captured.out
@@ -284,7 +282,7 @@ class TestDigitLimit:
 
         odd = SweepCounterexample(2, 1, 3, 7, "odd-value", Unprintable())
         report = SweepReport(cases=1, skipped=0, all_even=False, counterexamples=(odd,))
-        monkeypatch.setattr(torusbundles.cli, "parity_sweep", lambda g, m, n: report)
+        monkeypatch.setattr(torusbundles.swcalc, "parity_sweep", lambda g, m, n: report)
         before = sys.get_int_max_str_digits()
         with pytest.raises(RuntimeError, match="cannot render"):
             run(["verify-parity", "--g", "2..2", "--mn", "1..3"])
@@ -292,15 +290,37 @@ class TestDigitLimit:
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
-    """Importing the CLI pulls in neither module; building the records with them dominated import time."""
-    code = "import sys, torusbundles.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    src = str(Path(torusbundles.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=60,
-        check=True,
+    """Importing the CLI loads the package, _record and cli alone: no computational module, dataclasses or inspect."""
+    code = (
+        "import sys, torusbundles, torusbundles.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('torusbundles', 'dataclasses', 'inspect'))))"
     )
-    assert proc.stdout.strip() == "[]"
+    assert fresh_python(code) == str(["torusbundles", "torusbundles._record", "torusbundles.cli"])
+
+
+_SW_LEAVES_OUT = {"bundle", "exactla", "classify", "homology", "spectral"}
+_PRINCIPAL = str(Path(__file__).parent / "golden" / "bundles" / "principal.json")
+
+
+@pytest.mark.parametrize(
+    "argv, home, left_out",
+    [
+        (["sw0", "--genus", "2", "--m", "3", "--n", "3"], "swcalc", _SW_LEAVES_OUT),
+        (["swpoly", "--genus", "2", "--n", "3"], "swcalc", _SW_LEAVES_OUT),
+        (["verify-parity", "--g", "2..2", "--mn", "1..2"], "swcalc", _SW_LEAVES_OUT),
+        (["homology", _PRINCIPAL], "homology", {"classify", "spectral", "swcalc"}),
+        (["spectral", _PRINCIPAL], "spectral", {"classify", "swcalc"}),
+        (["classify", _PRINCIPAL], "classify", {"swcalc"}),
+    ],
+    ids=["sw0", "swpoly", "verify-parity", "homology", "spectral", "classify"],
+)
+def test_a_subcommand_loads_only_the_modules_it_calls(argv, home, left_out):
+    code = (
+        "import contextlib, io, sys, torusbundles.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert torusbundles.cli.run({argv!r}) == 0\n"
+        "print(' '.join(m.split('.')[1] for m in sys.modules if m.startswith('torusbundles.')))"
+    )
+    loaded = set(fresh_python(code).split())
+    assert home in loaded
+    assert not loaded & left_out

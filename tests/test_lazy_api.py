@@ -1,0 +1,49 @@
+"""The package's lazy public API: each name loads its home module on first use and is that module's object."""
+
+import sys
+
+import pytest
+
+import torusbundles
+import torusbundles.bundle
+import torusbundles.classify
+
+from support import fresh_python
+
+
+@pytest.mark.parametrize("name", torusbundles.__all__)
+def test_every_public_name_is_its_home_modules_object(name):
+    value = getattr(torusbundles, name)
+    assert value is getattr(sys.modules[value.__module__], name)
+    assert vars(torusbundles)[name] is value  # cached after the first access
+
+
+def test_star_import_binds_exactly_all_and_dir_covers_it():
+    namespace: dict = {}
+    exec("from torusbundles import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(torusbundles.__all__)
+    assert set(torusbundles.__all__) <= set(dir(torusbundles))
+
+
+def test_an_unknown_name_raises_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        torusbundles.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from torusbundles import no_such_name", {})
+
+
+def test_a_bare_import_reaches_a_submodule_and_loads_a_name_on_first_use():
+    code = (
+        "import sys, torusbundles\n"
+        "before = 'torusbundles.bundle' in sys.modules\n"
+        "print(before, torusbundles.swcalc.__name__, torusbundles.parse_bundle.__module__)"
+    )
+    assert fresh_python(code).split() == ["False", "torusbundles.swcalc", "torusbundles.bundle"]
+
+
+def test_the_moved_errors_keep_their_bases_and_every_import_path():
+    assert issubclass(torusbundles.ValidationError, ValueError)
+    assert issubclass(torusbundles.InternalInconsistencyError, RuntimeError)
+    assert torusbundles.bundle.ValidationError is torusbundles.ValidationError
+    assert torusbundles.classify.InternalInconsistencyError is torusbundles.InternalInconsistencyError
+    assert torusbundles.bundle.require_genus is torusbundles.classify.require_genus
