@@ -220,7 +220,8 @@ def sw4_zero_coset(g: int, m: int, n: int) -> int:
     poly = fold_product_poly(g, n)
     coefficient = dict(poly.terms)
     subgroup_m = cyclic_subgroup(m, n)
-    subgroup_2m = cyclic_subgroup(2 * m, n)
+    # <k> is the multiples of gcd(k, n), so <2m> = <m> exactly when doubling m keeps the gcd (every odd n)
+    subgroup_2m = subgroup_m if gcd(2 * m, n) == gcd(m, n) else cyclic_subgroup(2 * m, n)
     modulus = poly.modulus
     total = 0
     for i in subgroup_m:
