@@ -29,8 +29,8 @@ _YES = {True: "yes", False: "no"}
 MAX_LISTED_MODULUS = 10**6
 # verify-parity's largest grid, scored cells * max(|m|, |n|, g)^3 before any cell runs: a cell's subgroup order is at
 # most max(|m|, |n|), whose closure check is cubic, and its two binomial rows cost about g^2 (one cell took 9 ms at
-# g = 1,443 and 34 ms at g = 3,000).  g 2..20 with m, n in -20..20 scores 2.6e8 and took 2.6 s; g 2..2 with m, n in
-# 790..792 scores 4.5e9 and took 31.9 s.
+# g = 1,443 and 34 ms at g = 3,000).  g 2..20 with m, n in -20..20 scores 2.6e8 and took 1.4-2.1 s; g 2..2 with m, n
+# in 790..792 scores 4.5e9 and took 12.8-13.2 s in process.
 MAX_PARITY_WORK = 3 * 10**9
 # classify and spectral walk the Fox relator once per generator, quadratic in the genus: is_symplectic took 0.29 s at
 # g = 200 and 8.5 s at g = 1,000 on a 2-vCPU Xeon host with Python 3.11.7.  homology is linear and takes any genus.

@@ -96,8 +96,8 @@ class SWPolynomial(Record):
         return " + ".join(terms) if terms else "0"
 
 
-# The largest subgroup order cyclic_subgroup enumerates.  ResidueSet's closure check is cubic in the order:
-# sw0 at order 801 (g = 3, m = 1, n = 801) took 10.3 s on a 2-vCPU Xeon host with Python 3.11.7.
+# The largest subgroup order cyclic_subgroup enumerates; ResidueSet's closure check is cubic in the order.  sw0 at
+# n = 800 (orders 800 and 400) took 3.1-3.6 s at g = 3, and 3.4-3.6 s at n = 799, g = 7,000 (2-vCPU Xeon, Python 3.11)
 MAX_SUBGROUP_ORDER = 800
 
 
@@ -106,7 +106,7 @@ def cyclic_subgroup(m: int, n: int) -> ResidueSet:
 
     Its cardinality is |n| / gcd(|m|, |n|); n = 0 is rejected, and so is an
     order above MAX_SUBGROUP_ORDER, whose cubic closure check would run for
-    more than about 10 s.
+    more than about 3 s.
     """
     if n == 0:
         raise ValueError("modulus parameter n must be nonzero")
