@@ -33,7 +33,7 @@ MAX_LISTED_MODULUS = 10**6
 # in 790..792 scores 4.5e9 and took 12.8-13.2 s in process.
 MAX_PARITY_WORK = 3 * 10**9
 # classify and spectral walk the Fox relator once per generator, quadratic in the genus: is_symplectic took 0.29 s at
-# g = 200 and 8.5 s at g = 1,000 on a 2-vCPU Xeon host with Python 3.11.7.  homology is linear and takes any genus.
+# g = 200 and 8.5-10.8 s at g = 1,000 on a 2-vCPU Xeon host with Python 3.11.7.  homology is linear, any genus goes.
 MAX_FOX_GENUS = 1000
 # a cross-check flag of the classification; None means the spectral oracle did not apply
 _AGREE = {True: "agree", False: "disagree", None: "skipped (monodromy violates the surface relation)"}

@@ -256,6 +256,22 @@ class TestInputErrors:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
 
+    def test_fox_genus_budget_refuses_before_any_fox_matrix(self, principal_file, tmp_path, monkeypatch, capsys):
+        """classify and spectral refuse a genus above MAX_FOX_GENUS before the Fox walk; homology takes any genus."""
+        import torusbundles.spectral
+
+        path = tmp_path / "genus3.json"
+        path.write_text(json.dumps({"genus": 3, "monodromy": [[[1, 0], [0, 1]]] * 6, "euler": [1, 1]}))
+        monkeypatch.setattr(torusbundles.cli, "MAX_FOX_GENUS", 2)
+        fox = count_calls(monkeypatch, torusbundles.spectral.fox_boundary_matrices)
+        for command in ("classify", "spectral"):
+            assert run([command, str(path)]) == 1
+            assert capsys.readouterr().err == "error: genus 3 is above the 2 that classify and spectral take\n"
+        assert not fox
+        assert run(["homology", str(path)]) == 0
+        assert run(["spectral", principal_file]) == 0  # genus 2 sits at the budget
+        assert len(fox) == 1
+
 
 class TestDigitLimit:
     HUGE_FACTOR = Path(__file__).parent / "golden" / "bundles" / "huge_factor.json"
@@ -290,15 +306,16 @@ class TestDigitLimit:
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
-    """Importing the CLI loads the package, _record and cli alone: no computational module, dataclasses or inspect."""
+    """Importing the CLI loads the package, _record and cli alone: no computing module, dataclasses, inspect or json."""
     code = (
         "import sys, torusbundles, torusbundles.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('torusbundles', 'dataclasses', 'inspect'))))"
+        "print(sorted(m for m in sys.modules if m.startswith(('torusbundles', 'dataclasses', 'inspect', 'json'))))"
     )
     assert fresh_python(code) == str(["torusbundles", "torusbundles._record", "torusbundles.cli"])
 
 
-_SW_LEAVES_OUT = {"bundle", "exactla", "classify", "homology", "spectral"}
+# text output needs no json, and the SW subcommands parse no bundle file
+_SW_LEAVES_OUT = {"bundle", "exactla", "classify", "homology", "spectral", "json"}
 _PRINCIPAL = str(Path(__file__).parent / "golden" / "bundles" / "principal.json")
 
 
@@ -319,7 +336,7 @@ def test_a_subcommand_loads_only_the_modules_it_calls(argv, home, left_out):
         "import contextlib, io, sys, torusbundles.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert torusbundles.cli.run({argv!r}) == 0\n"
-        "print(' '.join(m.split('.')[1] for m in sys.modules if m.startswith('torusbundles.')))"
+        "print(' '.join(m.removeprefix('torusbundles.') for m in sys.modules))"
     )
     loaded = set(fresh_python(code).split())
     assert home in loaded

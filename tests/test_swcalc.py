@@ -215,6 +215,17 @@ class TestSw4Zero:
                     if n % 2 != 0 or m % 2 == 0:
                         assert sw4_zero_closed(g, m, n) == sw4_zero_coset(g, m, n), (g, m, n)
 
+    @pytest.mark.parametrize(
+        "m, n, builds",
+        [(1, 3, 1), (3, -5, 1), (2, 6, 1), (-4, 12, 1), (1, 4, 2), (2, 8, 2), (3, -2, 2)],
+    )
+    def test_coset_builds_the_doubled_subgroup_only_where_it_differs(self, monkeypatch, m, n, builds):
+        """<2m> = <m> exactly when gcd(2m, n) = gcd(m, n): every odd n, and even n with n / gcd(m, n) odd."""
+        calls = count_calls(monkeypatch, swcalc.cyclic_subgroup)
+        sw4_zero_coset(2, m, n)
+        assert len(calls) == builds
+        assert (builds == 1) == (gcd(2 * m, n) == gcd(m, n))
+
     def test_even_n_odd_m_has_no_closed_form(self):
         with pytest.raises(UnsupportedParityError):
             sw4_zero_closed(2, 1, 2)
