@@ -48,6 +48,7 @@ _HOMES = {
         "product_sw_coefficients",
         "sw4_zero_closed",
         "sw4_zero_coset",
+        "sw4_zero_gcd",
         "sw4_zero_nonpullback",
         "sw4_zero_routes",
         "sw_poly_circle_bundle",

@@ -25,6 +25,8 @@ class Record:
 
     A class attribute beside an annotation is that field's default.  Fields are
     set with ``object.__setattr__``: writing ``__dict__`` slows later reads.
+    ``SL2Z`` is the measured exception and writes ``__dict__`` on every product
+    (README, "Design note: records").
     """
 
     _fields: tuple[str, ...] = ()

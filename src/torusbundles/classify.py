@@ -69,15 +69,6 @@ class ProductH2Class(Record):
     torus_coeffs: tuple[int, ...]
 
 
-def _fiber_class_from_fixed(b: TorusBundle, fixed: Lattice) -> bool:
-    if fixed.rank == 2:
-        # trivial monodromy: only the product bundle keeps the fiber class
-        return b.euler == (0, 0)
-    if fixed.rank == 0:
-        return True
-    return fixed.contains(b.euler)
-
-
 _STATEMENTS = {
     "trivial-bundle": "trivial monodromy and zero Euler class: the product bundle, fiber class nonzero",
     "principal-both-euler-components-nonzero": (
@@ -107,22 +98,16 @@ _STATEMENTS = {
 }
 
 
-def _rationale(b: TorusBundle, fixed: Lattice, verdict: bool) -> tuple[RationaleEntry, ...]:
+def _rule(b: TorusBundle, fixed: Lattice) -> tuple[str, bool]:
+    """The rule that decides the bundle, and its fiber-class verdict, from one split on the fixed lattice's rank."""
     if fixed.rank == 0:
-        rule = "no-fiber-circle-action"
-    elif fixed.rank == 1:
-        rule = "euler-multiple-of-orbit-class" if verdict else "euler-not-multiple-of-orbit-class"
-    elif b.is_flat:
-        rule = "trivial-bundle"
-    elif 0 not in b.euler:
-        rule = "principal-both-euler-components-nonzero"
-    else:
-        rule = "principal-one-euler-component-zero"
-    z = fixed.basis[0] if fixed.basis else None
-    return tuple(
-        RationaleEntry(r, _STATEMENTS[r].format(z=z, euler=b.euler))
-        for r in (rule, "symplectic-iff-fiber-class")
-    )
+        return "no-fiber-circle-action", True
+    if fixed.rank == 1:
+        member = fixed.contains(b.euler)
+        return ("euler-multiple-of-orbit-class" if member else "euler-not-multiple-of-orbit-class"), member
+    if b.is_flat:  # trivial monodromy: only the product bundle keeps the fiber class
+        return "trivial-bundle", True
+    return ("principal-one-euler-component-zero" if 0 in b.euler else "principal-both-euler-components-nonzero"), False
 
 
 def is_symplectic(b: TorusBundle) -> ClassificationReport:
@@ -132,7 +117,7 @@ def is_symplectic(b: TorusBundle) -> ClassificationReport:
     with the rule-based verdict.
     """
     fixed = fixed_sublattice(b)
-    verdict = _fiber_class_from_fixed(b, fixed)
+    rule, verdict = _rule(b, fixed)
     b1, b2 = betti(b)
 
     oracles = {"betti": betti(b.flat_twin())[0] == b1}
@@ -150,7 +135,10 @@ def is_symplectic(b: TorusBundle) -> ClassificationReport:
         has_circle_action=fixed.rank >= 1,
         fiber_class_nonzero=verdict,
         symplectic=verdict,
-        rationale=_rationale(b, fixed, verdict),
+        rationale=tuple(
+            RationaleEntry(r, _STATEMENTS[r].format(z=fixed.basis[0] if fixed.basis else None, euler=b.euler))
+            for r in (rule, "symplectic-iff-fiber-class")
+        ),
         # every oracle that ran agreed, or the loop above raised
         cross_checks=CrossChecks(betti_oracle=True, spectral_oracle=True if "spectral" in oracles else None),
     )

@@ -24,7 +24,8 @@ closed form sums the direct polynomial over the subgroup <m>, i.e. over the
 residues divisible by gcd(|m|, |n|); that reading is forced by exact
 agreement with the coset evaluation.  For n even with m odd no closed form
 is offered and the coset route is the contract; sw4_zero_routes evaluates
-both routes for the CLI and the parity sweep.
+both routes for the CLI and the parity sweep.  sw4_zero_gcd reads the value off
+the product coefficients and two gcds, and carries the proof that it is always even.
 """
 
 from __future__ import annotations
@@ -280,6 +281,26 @@ def sw4_zero_nonpullback(g: int, m: int, n: int) -> int:
     restriction as the closed form; always an even integer.
     """
     return _inner_sums(g, m, n, "prefactor-free form")
+
+
+def sw4_zero_gcd(g: int, m: int, n: int) -> int:
+    """The degree-zero invariant as sign(n) * |<2m>| * S_g(e): even for every g >= 2, m and nonzero n.
+
+    d = gcd(m, n); e = d / 2 when m and n are both even, else e = d; S_g(e) sums the product coefficients
+    c_s over |s| <= g - 1 with e | s.  It equals sw4_zero_coset everywhere, by three lemmas:
+      A. <2m> lies in <m>, so i + delta over i in <m> and delta in <2m> hits each element of <m> exactly
+         |<2m>| times: the coset sum is |<2m>| times the folded polynomial summed over <m>.
+      B. <m> is the multiples of d in Z_|n|.  c_s folds to s mod |n| (odd n) or 2 (s mod |n|/2) (even n),
+         a multiple of d exactly when e | s, so the folded polynomial sums to sign(n) * S_g(e) over <m>.
+      C. c_s = c_-s, so S_g(e) = c_0 + 2 * (the c_s with 0 < s <= g - 1, e | s), and
+         c_0 = +-C(2g-2, g-1) = +-2 C(2g-3, g-2) is even for g >= 2.
+    It reads only product_sw_coefficients, and builds no subgroup and no polynomial mod |n|.
+    """
+    _require_nonzero(n)
+    d = gcd(m, n)
+    e = d // 2 if m % 2 == 0 and n % 2 == 0 else d
+    total = sum(c for s, c in enumerate(product_sw_coefficients(g), start=1 - g) if s % e == 0)
+    return _sign(n) * (abs(n) // gcd(2 * m, n)) * total
 
 
 class SweepCounterexample(Record):

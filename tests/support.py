@@ -137,7 +137,13 @@ def count_calls(monkeypatch, fn) -> list:
 
 
 def snf_kernel(m: IntMatrix) -> IntMatrix:
-    """Saturated kernel basis read off snf's right transform, the reference for integer_kernel."""
+    """Saturated kernel basis read off snf's right transform, the reference for integer_kernel.
+
+    A matrix taller than wide is replaced by M^T M, which has the same kernel (x^T M^T M x = |Mx|^2) and is
+    only cols x cols, so snf builds no rows x rows left transform.
+    """
+    if m.rows > m.cols:
+        m = m.transpose() @ m
     _, d, v = snf(m)
     diag = d.diagonal()
     keep = [j for j in range(m.cols) if j >= len(diag) or diag[j] == 0]

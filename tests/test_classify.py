@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusbundles import (
     CrossChecks,
@@ -15,6 +17,7 @@ from torusbundles import (
     e2_ranks,
     cup_product_annihilator,
     fiber_class_via_spectral,
+    fixed_sublattice,
     h1_total_space,
     integer_kernel,
     invariant_symplectic_exists,
@@ -30,8 +33,10 @@ from support import (
     ROTATION,
     UPPER,
     count_calls,
+    random_arbitrary_monodromy,
     random_sl2z,
     random_valid_bundle,
+    random_valid_monodromy,
     replace_everywhere,
 )
 
@@ -134,6 +139,56 @@ class TestIsSymplectic:
             replace_everywhere(monkeypatch, e2_ranks, lambda g, mono: E2Ranks(1, 0, 1, 2 * g, 0, 1, 0, 1))
         with pytest.raises(InternalInconsistencyError, match=f"^{oracle} oracle \\(False\\) disagrees"):
             is_symplectic(b)
+
+
+_FIBER_CLASS_RULES = {"trivial-bundle", "no-fiber-circle-action", "euler-multiple-of-orbit-class"}
+_RULES = _FIBER_CLASS_RULES | {
+    "euler-not-multiple-of-orbit-class",
+    "principal-both-euler-components-nonzero",
+    "principal-one-euler-component-zero",
+}
+
+
+@st.composite
+def _rule_bundles(draw):
+    """A genus 2-6 bundle with valid, arbitrary or trivial monodromy.
+
+    The Euler class is drawn small, as a multiple of the fixed lattice's first basis vector (the orbit class at
+    rank 1, an axis vector under trivial monodromy), or near 10^30.
+    """
+    g = draw(st.integers(2, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    family = draw(st.sampled_from(("valid", "arbitrary", "trivial")))
+    if family == "valid":
+        monodromy = random_valid_monodromy(rng, g)
+    elif family == "arbitrary":
+        monodromy = random_arbitrary_monodromy(rng, g)
+    else:
+        monodromy = (IDENTITY,) * (2 * g)
+    basis = fixed_sublattice(TorusBundle(g, monodromy, (0, 0))).basis
+    kind = draw(st.sampled_from(("small", "multiple", "huge")))
+    if kind == "multiple" and basis:
+        t = draw(st.integers(-3, 3) | st.integers(-(10**30), 10**30))
+        return TorusBundle(g, monodromy, (t * basis[0][0], t * basis[0][1]))
+    entry = st.integers(-5, 5) if kind == "small" else st.integers(-5, 5).map(lambda k: (k or 1) * 10**30 + k)
+    return TorusBundle(g, monodromy, (draw(entry), draw(entry)))
+
+
+def test_the_printed_rule_decides_the_verdict():
+    """The fiber class is nonzero exactly under the three rules that keep it, and every rule is reached."""
+    seen = set()
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_rule_bundles())
+    def check(b):
+        report = is_symplectic(b)
+        rule = report.rationale[0].rule
+        seen.add(rule)
+        assert report.fiber_class_nonzero == (rule in _FIBER_CLASS_RULES)
+        assert report.rationale[1].rule == "symplectic-iff-fiber-class"
+
+    check()
+    assert seen == _RULES
 
 
 class TestKernelSplit:

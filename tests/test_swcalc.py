@@ -14,6 +14,7 @@ from torusbundles import (
     product_sw_coefficients,
     sw4_zero_closed,
     sw4_zero_coset,
+    sw4_zero_gcd,
     sw4_zero_nonpullback,
     sw4_zero_routes,
     sw_poly_circle_bundle,
@@ -322,6 +323,81 @@ class TestRoutesShareNoPolynomialKernel:
         assert report.all_even
         assert [(c.g, c.m, c.n) for c in report.counterexamples] == defined
         assert {c.kind for c in report.counterexamples} == {"route-disagreement"}
+
+
+class TestGcdForm:
+    """sw4_zero_gcd, sign(n) * |<2m>| * S_g(e), whose docstring proves the degree-zero value even."""
+
+    def test_examples(self):
+        assert sw4_zero_gcd(2, 3, 3) == -2
+        assert sw4_zero_gcd(2, 1, 3) == 0
+        assert sw4_zero_gcd(2, 4, 4) == -2
+        assert sw4_zero_gcd(3, 0, -5) == -6  # <0> = {0}: only c_0 = 6 folds onto residue 0
+
+    @staticmethod
+    def assert_equals_the_coset_route(genera):
+        for g in genera:
+            for m in range(-20, 21):
+                for n in range(-20, 21):
+                    if n:
+                        assert sw4_zero_gcd(g, m, n) == sw4_zero_coset(g, m, n), (g, m, n)
+
+    def test_equals_the_coset_route_on_a_grid(self):
+        self.assert_equals_the_coset_route(range(2, 9))
+
+    @pytest.mark.slow
+    def test_equals_the_coset_route_on_the_default_grid(self):
+        self.assert_equals_the_coset_route(range(2, 21))
+
+    def test_rejects_a_zero_n_and_a_genus_out_of_range(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            sw4_zero_gcd(2, 1, 0)
+        with pytest.raises(ValueError, match="genus"):
+            sw4_zero_gcd(1, 1, 3)
+
+    def test_a_raised_c0_turns_the_value_odd(self, monkeypatch):
+        real = swcalc.product_sw_coefficients
+        monkeypatch.setattr(
+            swcalc, "product_sw_coefficients", lambda g: tuple(c + (q == g - 1) for q, c in enumerate(real(g)))
+        )
+        # S_g(e) turns odd, so the value is odd wherever |<2m>| = |n| / gcd(2m, n) is odd: every odd n
+        for g in range(2, 60):
+            for m, n in ((1, 3), (0, 5), (2, -7), (3, 1), (4, 12)):
+                assert sw4_zero_gcd(g, m, n) % 2 == 1, (g, m, n)
+        report = parity_sweep(range(2, 5), range(-4, 5), range(-4, 5))
+        odd = {(c.g, c.m, c.n) for c in report.counterexamples if c.kind == "odd-value"}
+        cells = [(g, m, n) for g in range(2, 5) for m in range(-4, 5) for n in range(-4, 5) if m and n]
+        assert not report.all_even
+        assert odd == {(g, m, n) for g, m, n in cells if (abs(n) // gcd(2 * m, n)) % 2}
+
+
+@st.composite
+def _huge_euler_classes(draw):
+    """(m, n) with |n| up to 10^30 and a drawn common factor q, so gcd(m, n) runs from 1 to about 10^30."""
+    q = draw(st.sampled_from((1, 2, 4, 3 * 2**40)) | st.integers(1, 10**15))
+    m = q * draw(st.integers(-(10**15), 10**15))
+    return m, q * draw(st.integers(-(10**15), 10**15).filter(bool))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(2, 40), _huge_euler_classes())
+def test_gcd_form_equals_the_closed_form_for_huge_n(g, euler):
+    m, n = euler
+    assume(n % 2 != 0 or m % 2 == 0)  # where the closed form is defined
+    value = sw4_zero_gcd(g, m, n)
+    assert value == sw4_zero_closed(g, m, n)
+    assert value % 2 == 0
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(2, 300), st.integers(1, 301))
+def test_lemma_c_the_sum_over_multiples_of_e_is_even(g, e):
+    """S_g(e) = c_0 + 2 * (the c_s with 0 < s <= g - 1, e | s), and c_0 = (-1)^(g-1) * 2 * C(2g-3, g-2)."""
+    c = dict(enumerate(product_sw_coefficients(g), start=1 - g))
+    total = sum(v for s, v in c.items() if s % e == 0)
+    assert total == c[0] + 2 * sum(c[s] for s in range(e, g, e))
+    assert c[0] == (-1) ** (g - 1) * 2 * comb(2 * g - 3, g - 2)
+    assert total % 2 == 0
 
 
 _NONZERO = st.integers(-60, 60).filter(bool)
