@@ -37,12 +37,13 @@ class Record:
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         fields = self._fields
-        try:
-            args += tuple([kwargs.pop(f) if f in kwargs else self._defaults[f] for f in fields[len(args) :]])
-        except KeyError as exc:
-            raise TypeError(f"{type(self).__name__}() missing argument {exc}") from None
-        if kwargs or len(args) > len(fields):
-            raise TypeError(f"{type(self).__name__}() takes the fields {fields}; got extra or unknown arguments")
+        if kwargs or len(args) != len(fields):  # fill in keywords and defaults; a positional call skips this
+            try:
+                args += tuple([kwargs.pop(f) if f in kwargs else self._defaults[f] for f in fields[len(args) :]])
+            except KeyError as exc:
+                raise TypeError(f"{type(self).__name__}() missing argument {exc}") from None
+            if kwargs or len(args) > len(fields):
+                raise TypeError(f"{type(self).__name__}() takes the fields {fields}; got extra or unknown arguments")
         for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
         self._check()

@@ -130,10 +130,7 @@ class TorusBundle(Record):
             object.__setattr__(self, "monodromy", tuple(self.monodromy))
         except TypeError:
             raise ValidationError("monodromy must be a sequence of SL2Z values") from None
-        if len(self.monodromy) != 2 * self.genus:
-            raise ValidationError(
-                f"monodromy has {len(self.monodromy)} matrices, expected 2*genus = {_show(2 * self.genus)}"
-            )
+        _require_count(len(self.monodromy), self.genus)
         for i, m in enumerate(self.monodromy):
             if not isinstance(m, SL2Z):
                 raise ValidationError(f"monodromy[{i}] is not an SL2Z value")
@@ -146,6 +143,14 @@ class TorusBundle(Record):
                 raise ValidationError(f"euler entry {x!r} is not an integer")
         object.__setattr__(self, "euler", (m, n))
 
+    @classmethod
+    def _trusted(cls, genus: int, monodromy: tuple[SL2Z, ...], euler: tuple[int, int]) -> "TorusBundle":
+        """Wrap fields the package has already checked, as `_check` would leave them, skipping `_check`."""
+        b = object.__new__(cls)
+        for name, value in zip(cls._fields, (genus, monodromy, euler)):
+            object.__setattr__(b, name, value)
+        return b
+
     @property
     def is_flat(self) -> bool:
         return self.euler == (0, 0)
@@ -156,7 +161,7 @@ class TorusBundle(Record):
 
     def flat_twin(self) -> "TorusBundle":
         """Same monodromy with the Euler class zeroed."""
-        return TorusBundle(self.genus, self.monodromy, (0, 0))
+        return TorusBundle._trusted(self.genus, self.monodromy, (0, 0))
 
     def surface_relation_holds(self) -> bool:
         """Whether the product of monodromy commutators is the identity.
@@ -181,14 +186,19 @@ class TorusBundle(Record):
         }
 
 
+def _require_count(count: int, genus: int) -> None:
+    if count != 2 * genus:
+        raise ValidationError(f"monodromy has {count} matrices, expected 2*genus = {_show(2 * genus)}")
+
+
 def _require_int(value: Any, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"field {field} must be an integer, got {value!r}")
+        raise ParseError(f"field {field} must be an integer, got {value!r}") from None
     return value
 
 
 def bundle_from_dict(obj: Any) -> TorusBundle:
-    """Build a validated bundle from a parsed document object."""
+    """Build a validated bundle from a parsed document object: each field is checked once, here, in `_check`'s order."""
     if not isinstance(obj, dict):
         raise ParseError("bundle document must be an object with keys genus, monodromy, euler")
     for key in ("genus", "monodromy", "euler"):
@@ -208,20 +218,20 @@ def bundle_from_dict(obj: Any) -> TorusBundle:
         ):
             raise ParseError(f"monodromy[{i}] must be a 2x2 array [[a,b],[c,d]]")
         (a, b), (c, d) = entry
-        for k, x in enumerate((a, b, c, d)):
-            if isinstance(x, bool) or not isinstance(x, int):  # the field name is formatted only here
-                _require_int(x, f"monodromy[{i}][{k // 2}][{k % 2}]")
         try:
             matrices.append(SL2Z(a, b, c, d))
-        except ValidationError as exc:
+        except ValidationError as exc:  # SL2Z checks the entries; a non-integer one is reported by its field name
+            for k, x in enumerate((a, b, c, d)):
+                _require_int(x, f"monodromy[{i}][{k // 2}][{k % 2}]")
             raise ValidationError(f"monodromy[{i}]: {exc}") from None
 
     raw_euler = obj["euler"]
     if not isinstance(raw_euler, list) or len(raw_euler) != 2:
         raise ParseError("field euler must be an array [m, n]")
     euler = (_require_int(raw_euler[0], "euler[0]"), _require_int(raw_euler[1], "euler[1]"))
-
-    return TorusBundle(genus, tuple(matrices), euler)
+    require_genus(genus)
+    _require_count(len(matrices), genus)
+    return TorusBundle._trusted(genus, tuple(matrices), euler)
 
 
 def parse_bundle(text: str) -> TorusBundle:
@@ -243,8 +253,8 @@ def parse_bundle(text: str) -> TorusBundle:
 
 
 def _lattice_from_kernel_columns(basis_matrix: IntMatrix) -> Lattice:
-    columns = [(col[0], col[1]) for col in basis_matrix.columns()]
-    return Lattice(rank=len(columns), basis=tuple(columns))
+    columns = tuple(zip(*basis_matrix.entries))
+    return Lattice(len(columns), columns)
 
 
 def fixed_sublattice(b: TorusBundle) -> Lattice:

@@ -129,19 +129,12 @@ def is_symplectic(b: TorusBundle) -> ClassificationReport:
                 f"{name} oracle ({value}) disagrees with rule verdict ({verdict}) on {b.to_dict()}"
             )
 
-    return ClassificationReport(
-        b1=b1,
-        b2=b2,
-        has_circle_action=fixed.rank >= 1,
-        fiber_class_nonzero=verdict,
-        symplectic=verdict,
-        rationale=tuple(
-            RationaleEntry(r, _STATEMENTS[r].format(z=fixed.basis[0] if fixed.basis else None, euler=b.euler))
-            for r in (rule, "symplectic-iff-fiber-class")
-        ),
-        # every oracle that ran agreed, or the loop above raised
-        cross_checks=CrossChecks(betti_oracle=True, spectral_oracle=True if "spectral" in oracles else None),
+    rationale = tuple(
+        RationaleEntry(r, _STATEMENTS[r].format(z=fixed.basis[0] if fixed.basis else None, euler=b.euler))
+        for r in (rule, "symplectic-iff-fiber-class")
     )
+    cross_checks = CrossChecks(True, True if "spectral" in oracles else None)  # any disagreement raised above
+    return ClassificationReport(b1, b2, fixed.rank >= 1, verdict, verdict, rationale, cross_checks)
 
 
 def _intersection_pairing_times(kvec: Sequence[int]) -> list[int]:

@@ -3,12 +3,13 @@
 Every matrix the package builds is at most two rows or two columns wide, and
 each kernel it calls reads that thin side.  The rule route's fixed lattice
 runs on `integer_kernel`, a column echelon (Hermite) reduction carrying only
-the column transform.  The oracles' ranks run on `rank`, one pass of 2x2
-minors, and `cokernel_structure` (H1 for `homology`) reads d1 | d2 off a
-running Hermite basis of the column span, so the rule route and the oracles
-reach every verdict on different kernels.  `snf`, with both transforms, is the
-one general Smith algorithm: the tests' reference, and the fallback for wider
-shapes.
+the column transform, which is 2x2 on the 4g x 2 stack: a row meets the one
+live column in a dot product, never in a 2x2 minor.  The oracles' ranks run
+on `rank`, one pass of 2x2 minors, and `cokernel_structure` (H1 for
+`homology`) reads d1 | d2 off a running Hermite basis of the column span, so
+the rule route and the oracles reach every verdict on different kernels.
+`snf`, with both transforms, is the one general Smith algorithm: the tests'
+reference, and the fallback for wider shapes.
 """
 
 from __future__ import annotations
@@ -335,10 +336,31 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
     identity, and row by row, gcd column operations leave one column with a
     nonzero entry there, which is set aside as that row's pivot.  The columns
     left have zero m part, and V is unimodular, so their V parts are a
-    saturated kernel basis.  Without a left transform a 4g x 2 stack costs a
-    constant number of column operations of length 4g + 2.  Each column's
-    sign is normalized so its first nonzero entry is positive.
+    saturated kernel basis.  Two columns take `_two_column_kernel`, the same
+    reduction on a 2x2 V; other widths take `_echelon_kernel`.  Each
+    column's sign is normalized so its first nonzero entry is positive.
     """
+    columns = _two_column_kernel(m.entries) if m.cols == 2 else _echelon_kernel(m)
+    return IntMatrix._trusted(columns, m.cols).transpose()
+
+
+def _two_column_kernel(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """integer_kernel's reduction on k x 2: V is the 2x2 identity until the first nonzero row (x, y).
+
+    There the gcd column operation makes V = [[a, -y/g], [b, x/g]], a*x + b*y = g.  The pivot (a, b) is set
+    aside unread; the live column (-y/g, x/g) becomes a pivot at any later row it meets in a nonzero dot product.
+    """
+    rows = iter(rows)
+    x, y = next((row for row in rows if any(row)), (0, 0))
+    if not (x or y):
+        return ((1, 0), (0, 1))
+    g = gcd(x, y)
+    q, s = -y // g, x // g
+    return () if any(u * q + w * s for u, w in rows) else (_normalize_column_sign((q, s)),)
+
+
+def _echelon_kernel(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """integer_kernel's reduction on any shape, as the V parts of the columns it leaves."""
     nr, nc = m.rows, m.cols
     live = [[*m.column(j), *(int(i == j) for i in range(nc))] for j in range(nc)]
     for i in [i for i, row in enumerate(m.entries) if any(row)]:  # column operations keep a zero row zero
@@ -361,8 +383,7 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
                     [x * u + y * w for u, w in zip(pivot, c)],
                     [p * w - q * u for u, w in zip(pivot, c)],
                 )
-    columns = tuple(_normalize_column_sign(c[nr:]) for c in live)
-    return IntMatrix._trusted(columns, nc).transpose()
+    return tuple(_normalize_column_sign(c[nr:]) for c in live)
 
 
 def cokernel_structure(m: IntMatrix) -> AbelianGroup:

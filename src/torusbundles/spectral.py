@@ -121,12 +121,7 @@ def e2_ranks(g: int, monodromy: Sequence[SL2Z]) -> E2Ranks:
     d2, d1 = fox_boundary_matrices(g, monodromy)
     rank_d1 = rank(d1)
     rank_d2 = rank(d2)
-    return E2Ranks(
-        rank_e01=2 - rank_d1,
-        rank_e10=2 * g,
-        rank_e11=4 * g - rank_d1 - rank_d2,
-        rank_e21=2 - rank_d2,
-    )
+    return E2Ranks(1, 2 - rank_d1, 1, 2 * g, 4 * g - rank_d1 - rank_d2, 1, 2 - rank_d2, 1)  # E00 to E22
 
 
 def fiber_class_via_spectral(b: TorusBundle) -> bool:
