@@ -198,7 +198,7 @@ def _require_int(value: Any, field: str) -> int:
 
 
 def bundle_from_dict(obj: Any) -> TorusBundle:
-    """Build a validated bundle from a parsed document object: each field is checked once, here, in `_check`'s order."""
+    """Build a validated bundle from a parsed document object, checking each field once, here, so `_check` is skipped."""
     if not isinstance(obj, dict):
         raise ParseError("bundle document must be an object with keys genus, monodromy, euler")
     for key in ("genus", "monodromy", "euler"):

@@ -223,6 +223,22 @@ class TestKernelSplit:
         with pytest.raises(InternalInconsistencyError, match="^betti oracle \\(False\\) disagrees"):
             is_symplectic(b)
 
+    def test_a_wrong_two_column_step_is_caught(self, monkeypatch):
+        b = bundle([UPPER, IDENTITY, IDENTITY, UPPER.inverse()], euler=(0, 2))
+        assert not is_symplectic(b).symplectic
+
+        def keeps_the_pivot(rows):  # one wrong step: at the first nonzero row, keep the pivot column (a, b)
+            x, y = next(row for row in rows if any(row))
+            _, a, c = exactla.xgcd(x, y)
+            return ((a, c),)
+
+        # the stack's first nonzero row is UPPER's (0, 1), so the fixed lattice turns from Z(1, 0) to Z(0, 1),
+        # which holds the Euler class: the rule says symplectic, and the Betti oracle does not
+        monkeypatch.setattr(exactla, "_two_column_kernel", keeps_the_pivot)
+        assert fixed_sublattice(b).basis == ((0, 1),)
+        with pytest.raises(InternalInconsistencyError, match="^betti oracle \\(False\\) disagrees"):
+            is_symplectic(b)
+
 
 class TestCupProductAnnihilator:
     def test_zero_class_gives_everything(self):

@@ -308,3 +308,49 @@ class TestHermiteKernel:
         assert k.cols == reference.cols
         if k.cols:
             assert _sympy_hermite(k) == _sympy_hermite(reference)
+
+
+@st.composite
+def _two_column_matrices(draw):
+    """k x 2 (k <= 200), entries up to 10^30: zero, rows on one line, all but one on a line, or free.
+
+    Those kinds give kernel ranks 2, 1, 0 and (almost always) 0.  The line's direction need not be
+    primitive, and any row may be zero, except the off-line one.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    k, kind = rng.randint(0, 200), rng.choice(["zero", "line", "line", "off-line", "free"])
+    zero_share = rng.choice([0.0, 0.3, 0.9])
+    if kind == "free":
+        bound = rng.choice([1, 9, 10**15, 10**30])
+        rows = [[rng.randint(-bound, bound), rng.randint(-bound, bound)] for _ in range(k)]
+    else:
+        bound = 0 if kind == "zero" else rng.choice([1, 9, 10**15, 10**27])
+        a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
+        rows = [[t * a, t * b] for t in (rng.randint(-1000, 1000) for _ in range(k))]
+    rows = [row if rng.random() >= zero_share else [0, 0] for row in rows]
+    if kind == "off-line" and k:
+        a, b = (a, b) if a or b else (0, 1)
+        t = rng.randint(-1000, 1000)
+        rows[rng.randrange(k)] = [t * a + b, t * b - a]  # its minor with (a, b) is -(a^2 + b^2) != 0
+    return IntMatrix(rows, cols=2)
+
+
+def test_the_two_column_path_equals_the_general_path_and_the_snf_kernel():
+    """integer_kernel's k x 2 path: the general echelon path's basis, signs included, and snf's lattice."""
+    ranks = set()
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_two_column_matrices())
+    def check(m):
+        thin = exactla._two_column_kernel(m.entries)
+        assert thin == exactla._echelon_kernel(m)  # the rationale prints the basis' first vector, so signs count
+        assert tuple(integer_kernel(m).columns()) == thin
+        assert all(x * u + y * v == 0 for x, y in m.entries for u, v in thin)
+        reference = snf_kernel(m)
+        assert reference.cols == len(thin)
+        if len(thin) == 1:  # a rank-1 saturated lattice has two primitive generators, v and -v
+            assert reference.column(0) in (thin[0], tuple(-x for x in thin[0]))
+        ranks.add(len(thin))
+
+    check()
+    assert ranks == {0, 1, 2}

@@ -64,6 +64,27 @@ def test_sl2z_is_checked_at_the_boundary_only(monkeypatch, g):
 
 
 @pytest.mark.parametrize("g", [2, 50, 200])
+def test_bundle_is_checked_at_the_boundary_only(monkeypatch, g):
+    # bundle_from_dict checks each field once itself, SL2Z the 2g matrices, and builds the bundle unchecked;
+    # the flat twin reuses checked fields, where a checked twin re-tested all 2g matrices per is_symplectic
+    b = _one_unipotent(g)
+    text = json.dumps(b.to_dict())
+    calls, checked = [], TorusBundle._check
+
+    def counted(self):
+        calls.append(self.genus)
+        checked(self)
+
+    monkeypatch.setattr(TorusBundle, "_check", counted)
+    is_symplectic(b)
+    assert calls == []
+    assert parse_bundle(text) == b
+    assert calls == []
+    assert TorusBundle(g, b.monodromy, b.euler) == b  # the public constructor still checks
+    assert calls == [g]
+
+
+@pytest.mark.parametrize("g", [2, 50, 200])
 def test_fox_walk_inverts_each_matrix_once(monkeypatch, g):
     # one inverse per monodromy matrix per build, shared by D1 and all 2g walks; inverting at every positive
     # letter made 24 / 10,200 / 160,800 inverses per is_symplectic at g = 2 / 50 / 200
