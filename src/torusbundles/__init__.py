@@ -25,13 +25,8 @@ _HOMES = {
     "classify": (
         "ClassificationReport",
         "CrossChecks",
-        "ProductH1Class",
-        "ProductH2Class",
         "RationaleEntry",
-        "cup_product_annihilator",
-        "invariant_symplectic_exists",
         "is_symplectic",
-        "thurston_norm_product",
     ),
     "exactla": ("AbelianGroup", "IntMatrix", "cokernel_structure", "integer_kernel", "rank", "snf", "xgcd"),
     "homology": ("NotFlatError", "Trichotomy", "betti", "h1_circle_bundle", "h1_total_space", "trichotomy"),

@@ -11,19 +11,13 @@ condition is decided purely from monodromy and Euler class:
 
 Every verdict is cross-checked against two independent oracles: the first
 Betti number of the flat twin (adding the Euler relation must not drop the
-rank) and the spectral-sequence rank test.  The module also carries the
-invariant-form existence test on products of a surface with a circle, via
-the cup-product annihilator of a first Chern class and the Thurston norm,
-which vanishes exactly on classes pulled back from the surface.
+rank) and the spectral-sequence rank test.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from ._record import InternalInconsistencyError, Record, require_genus
+from ._record import InternalInconsistencyError, Record
 from .bundle import Lattice, TorusBundle, fixed_sublattice
-from .exactla import IntMatrix, integer_kernel
 from .homology import betti
 from .spectral import e2_ranks
 
@@ -53,20 +47,6 @@ class ClassificationReport(Record):
     symplectic: bool
     rationale: tuple[RationaleEntry, ...]
     cross_checks: CrossChecks
-
-
-class ProductH1Class(Record):
-    """Degree-1 class on (surface x circle): circle coefficient plus 2g base coefficients."""
-
-    circle_coeff: int
-    base_coeffs: tuple[int, ...]
-
-
-class ProductH2Class(Record):
-    """Degree-2 class on (surface x circle): volume coefficient plus 2g torus-class coefficients."""
-
-    volume_coeff: int
-    torus_coeffs: tuple[int, ...]
 
 
 _STATEMENTS = {
@@ -135,54 +115,3 @@ def is_symplectic(b: TorusBundle) -> ClassificationReport:
     )
     cross_checks = CrossChecks(True, True if "spectral" in oracles else None)  # any disagreement raised above
     return ClassificationReport(b1, b2, fixed.rank >= 1, verdict, verdict, rationale, cross_checks)
-
-
-def _intersection_pairing_times(kvec: Sequence[int]) -> list[int]:
-    """Apply the standard symplectic intersection form of the surface to kvec."""
-    out = [0] * len(kvec)
-    for i in range(0, len(kvec), 2):
-        out[i] = kvec[i + 1]
-        out[i + 1] = -kvec[i]
-    return out
-
-
-def cup_product_annihilator(g: int, c1: ProductH2Class) -> tuple[tuple[int, ...], ...]:
-    """Basis of the subspace of degree-1 classes cup-killing c1 on (surface x circle).
-
-    Coordinates are the 2g surface classes followed by the circle class.
-    The cup pairing of x against c1 is x_base . J . kvec + x_circle * n with
-    J the intersection form, so the subspace is the saturated kernel of one
-    linear functional: dimension 2g when the functional is nonzero, 2g + 1
-    when c1 pairs to zero.
-    """
-    require_genus(g)
-    kvec = tuple(c1.torus_coeffs)
-    if len(kvec) != 2 * g:
-        raise ValueError(f"expected 2g = {2 * g} torus coefficients, got {len(kvec)}")
-    functional = _intersection_pairing_times(kvec) + [c1.volume_coeff]
-    kernel = integer_kernel(IntMatrix([functional]))
-    return tuple(kernel.columns())
-
-
-def invariant_symplectic_exists(g: int, c1: ProductH2Class) -> bool:
-    """Invariant-form existence on a circle bundle over (surface x circle).
-
-    The Thurston norm vanishes exactly on classes pulled back from the
-    surface, so a usable class exists precisely when the cup-product
-    annihilator is not the pullback subspace, i.e. contains a class with
-    nonzero circle component.
-    """
-    basis = cup_product_annihilator(g, c1)
-    return any(v[-1] != 0 for v in basis)
-
-
-def thurston_norm_product(g: int, x: ProductH1Class) -> int:
-    """Thurston norm of a degree-1 class on (surface x circle): |k| * (2g - 2).
-
-    Depends only on the circle coefficient k; pullbacks from the surface
-    have norm zero.
-    """
-    require_genus(g)
-    if len(x.base_coeffs) != 2 * g:
-        raise ValueError(f"expected 2g = {2 * g} base coefficients, got {len(x.base_coeffs)}")
-    return abs(x.circle_coeff) * (2 * g - 2)

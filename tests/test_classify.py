@@ -9,21 +9,16 @@ from torusbundles import (
     E2Ranks,
     IntMatrix,
     InternalInconsistencyError,
-    ProductH1Class,
-    ProductH2Class,
     TorusBundle,
     betti,
     conjugate_bundle,
     e2_ranks,
-    cup_product_annihilator,
     fiber_class_via_spectral,
     fixed_sublattice,
     h1_total_space,
     integer_kernel,
-    invariant_symplectic_exists,
     is_symplectic,
     snf,
-    thurston_norm_product,
 )
 from torusbundles import exactla
 from torusbundles.homology import fiber_relation_matrix
@@ -238,56 +233,3 @@ class TestKernelSplit:
         assert fixed_sublattice(b).basis == ((0, 1),)
         with pytest.raises(InternalInconsistencyError, match="^betti oracle \\(False\\) disagrees"):
             is_symplectic(b)
-
-
-class TestCupProductAnnihilator:
-    def test_zero_class_gives_everything(self):
-        basis = cup_product_annihilator(2, ProductH2Class(0, (0, 0, 0, 0)))
-        assert len(basis) == 5
-
-    def test_volume_class_gives_surface_pullbacks(self):
-        basis = cup_product_annihilator(2, ProductH2Class(3, (0, 0, 0, 0)))
-        assert len(basis) == 4
-        assert all(v[-1] == 0 for v in basis)
-
-    def test_torus_class_keeps_circle_direction(self):
-        basis = cup_product_annihilator(2, ProductH2Class(0, (1, 0, 0, 0)))
-        assert len(basis) == 4
-        assert any(v[-1] != 0 for v in basis)
-        # pairing functional is against J*kvec: second base coordinate is constrained
-        for v in basis:
-            assert v[1] == 0
-
-    def test_arity_checked(self):
-        with pytest.raises(ValueError):
-            cup_product_annihilator(2, ProductH2Class(0, (1, 0)))
-
-
-class TestInvariantSymplecticExists:
-    def test_zero_class(self):
-        assert invariant_symplectic_exists(2, ProductH2Class(0, (0, 0, 0, 0)))
-
-    def test_pure_volume_class(self):
-        assert not invariant_symplectic_exists(2, ProductH2Class(5, (0, 0, 0, 0)))
-        assert not invariant_symplectic_exists(2, ProductH2Class(-1, (0, 0, 0, 0)))
-
-    def test_any_nonzero_torus_part(self):
-        assert invariant_symplectic_exists(2, ProductH2Class(7, (0, 0, 1, 0)))
-        assert invariant_symplectic_exists(3, ProductH2Class(0, (0, 2, 0, 0, 0, 0)))
-
-    def test_agrees_with_fiber_class_on_trivial_bundle(self):
-        trivial = is_symplectic(bundle([IDENTITY] * 4))
-        assert invariant_symplectic_exists(2, ProductH2Class(0, (0, 0, 0, 0))) == trivial.fiber_class_nonzero
-
-
-class TestThurstonNorm:
-    def test_examples(self):
-        assert thurston_norm_product(2, ProductH1Class(1, (9, -1, 4, 0))) == 2
-        assert thurston_norm_product(3, ProductH1Class(-2, (0, 0, 0, 0, 0, 0))) == 8
-        assert thurston_norm_product(2, ProductH1Class(0, (1, 2, 3, 4))) == 0
-
-    def test_independent_of_base_coefficients(self):
-        rng = random.Random(13)
-        for _ in range(20):
-            base = tuple(rng.randint(-9, 9) for _ in range(4))
-            assert thurston_norm_product(2, ProductH1Class(3, base)) == 6

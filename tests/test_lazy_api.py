@@ -1,6 +1,9 @@
 """The package's lazy public API: each name loads its home module on first use and is that module's object."""
 
+import ast
+import importlib
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,4 +49,18 @@ def test_the_moved_errors_keep_their_bases_and_every_import_path():
     assert issubclass(torusbundles.InternalInconsistencyError, RuntimeError)
     assert torusbundles.bundle.ValidationError is torusbundles.ValidationError
     assert torusbundles.classify.InternalInconsistencyError is torusbundles.InternalInconsistencyError
-    assert torusbundles.bundle.require_genus is torusbundles.classify.require_genus
+    assert torusbundles.bundle.require_genus is torusbundles._record.require_genus
+
+
+def test_every_name_the_benchmark_worker_imports_from_the_package_resolves():
+    # read, not imported: the worker times its own import of the package at module level
+    worker = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(worker.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "torusbundles"
+        for alias in node.names
+    ]
+    assert ("torusbundles", "integer_kernel") in imported
+    missing = [f"{module}.{name}" for module, name in imported if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
