@@ -3,10 +3,10 @@
 A bundle over a genus-g surface is recorded by its monodromy (an ordered list
 of 2g matrices in SL(2,Z), acting on column vectors on the left, in the fiber
 basis x1 = (1,0), x2 = (0,1)) and its Euler class (m, n) expressed in that
-same basis.  From this the two sublattices of the fiber lattice Z^2 that
-drive every later computation are derived: the common fixed lattice of the
-monodromy and the saturation of the subgroup generated by the vectors
-A*x - x.
+same basis.  The rule route reads the common fixed lattice of the monodromy.
+The saturation of the subgroup generated by the vectors A*x - x is derived
+too, but no package code calls it: the tests use it as the reference for the
+rank of the Fox matrix D1 and in the Nielsen-move property.
 """
 
 from __future__ import annotations

@@ -8,13 +8,13 @@ live column in a dot product, never in a 2x2 minor.  The oracles' ranks run
 on `rank`, one pass of 2x2 minors, and `cokernel_structure` (H1 for
 `homology`) reads d1 | d2 off a running Hermite basis of the column span, so
 the rule route and the oracles reach every verdict on different kernels.
-`snf`, with both transforms, is the one general Smith algorithm: the tests'
-reference, and the fallback for wider shapes.
+`snf`, one gcd loop with both transforms, is the general Smith algorithm:
+the tests' reference, and the fallback for wider shapes.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import product, zip_longest
 from math import gcd
 from typing import Sequence
 
@@ -165,14 +165,24 @@ class AbelianGroup(Record):
         return " + ".join(parts) if parts else "0"
 
 
+def _gcd_op(p: int, q: int) -> tuple[int, int, int, int]:
+    """snf's unimodular 2x2 step taking (p, q), p != 0, to (+-gcd, 0): a subtraction when p | q, else xgcd."""
+    if q % p == 0:
+        return 1, 0, -(q // p), 1
+    g, x, y = xgcd(p, q)
+    return x, y, -(q // g), p // g
+
+
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form with transforms: returns (U, D, V) with U*m*V = D.
 
     D is diagonal with nonnegative entries satisfying d1 | d2 | ... and any
     zeros trailing; U and V are unimodular.  Total on all integer matrices,
-    including empty and zero ones.  The reduction is plain gcd elimination
-    with every row/column operation folded into U and V, which keeps the
-    U*m*V = D contract checkable by direct multiplication.
+    including empty and zero ones.  One loop of gcd elimination (Cohen 2.4),
+    every step folded into U and V: step t swaps the smallest nonzero entry
+    left to (t, t) and clears its column and row by `_gcd_op`; while an entry
+    left is not a multiple of that pivot, its row is added into row t and
+    cleared again, so each pivot divides everything after it.
     """
     nr, nc = m.rows, m.cols
     a = [list(row) for row in m.entries]
@@ -196,81 +206,36 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 row[j1] = f11 * x + f21 * y
                 row[j2] = f12 * x + f22 * y
 
-    def swap_rows(i1: int, i2: int) -> None:
-        if i1 != i2:
-            for mat in (a, u):
-                mat[i1], mat[i2] = mat[i2], mat[i1]
-
-    def swap_cols(j1: int, j2: int) -> None:
-        if j1 != j2:
-            for mat in (a, v):
-                for row in mat:
-                    row[j1], row[j2] = row[j2], row[j1]
-
-    size = min(nr, nc)
-    for t in range(size):
-        # deterministic pivot: smallest absolute value, ties by position
-        pivot = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
+    for t in range(min(nr, nc)):
+        pivot = None  # (|entry|, i, j): the smallest absolute value, ties by position
+        for i, j in product(range(t, nr), range(t, nc)):
+            if a[i][j] and (pivot is None or abs(a[i][j]) < pivot[0]):
+                pivot = abs(a[i][j]), i, j
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        if pivot[1] != t:
+            row_op(t, pivot[1], 0, 1, 1, 0)  # swaps, as 2x2 steps
+        if pivot[2] != t:
+            col_op(t, pivot[2], 0, 1, 1, 0)
         while True:
             for i in range(t + 1, nr):
-                q = a[i][t]
-                if q == 0:
-                    continue
-                p = a[t][t]
-                if q % p == 0:
-                    row_op(t, i, 1, 0, -(q // p), 1)
-                else:
-                    g, x, y = xgcd(p, q)
-                    row_op(t, i, x, y, -(q // g), p // g)
-            if all(a[t][j] == 0 for j in range(t + 1, nc)):
-                break
+                if a[i][t]:
+                    row_op(t, i, *_gcd_op(a[t][t], a[i][t]))
             for j in range(t + 1, nc):
-                q = a[t][j]
-                if q == 0:
-                    continue
-                p = a[t][t]
-                if q % p == 0:
-                    col_op(t, j, 1, 0, -(q // p), 1)
-                else:
-                    g, x, y = xgcd(p, q)
-                    col_op(t, j, x, y, -(q // g), p // g)
-            if all(a[i][t] == 0 for i in range(t + 1, nr)):
+                if a[t][j]:
+                    col_op(t, j, *_gcd_op(a[t][t], a[t][j]))
+            if any(a[i][t] for i in range(t + 1, nr)):
+                continue  # an xgcd step on row t refilled column t; the pivot has shrunk
+            p = a[t][t]
+            if p in (1, -1):  # a unit divides everything
                 break
-
-    # nonnegative diagonal, sign flips folded into U
-    for i in range(size):
-        if a[i][i] < 0:
+            i = next((i for i in range(t + 1, nr) if any(x % p for x in a[i])), None)
+            if i is None:
+                break
+            row_op(t, i, 1, 1, 0, 1)  # row t += row i; clearing it again shrinks the pivot
+        if a[t][t] < 0:
             for mat in (a, u):
-                mat[i] = [-x for x in mat[i]]
-
-    # enforce the divisibility chain (zeros migrate to the end)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(size):
-            for j in range(i + 1, size):
-                di, dj = a[i][i], a[j][j]
-                if di == 0 and dj != 0:
-                    swap_rows(i, j)
-                    swap_cols(i, j)
-                    changed = True
-                elif di != 0 and dj % di != 0:
-                    g, x, y = xgcd(di, dj)
-                    # diag (di, dj) -> (g, lcm) via a unimodular pair of ops
-                    row_op(i, j, x, y, -(dj // g), di // g)
-                    col_op(i, j, 1, 1, -(y * dj) // g, (x * di) // g)
-                    changed = True
+                mat[t] = [-x for x in mat[t]]
 
     return (
         IntMatrix._trusted(tuple(map(tuple, u)), nr),

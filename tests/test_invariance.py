@@ -1,11 +1,13 @@
 """Answers that must not change under operations giving an isomorphic bundle.
 
 Each example runs is_symplectic, so the rule route's Hermite kernel is checked against the oracles'
-2x2-minor ranks on every matrix drawn, before and after the operation.
+2x2-minor ranks on every matrix drawn, before and after the operation.  Each property runs on genus
+2-6, and under --runslow also on genus 20-50.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,11 +30,17 @@ def _answers(b):
 
 
 @st.composite
-def _bundles(draw):
-    """A relation-satisfying bundle of genus 2-6 and a Random for the operation, both from one drawn seed."""
+def _bundles(draw, low=2, high=6):
+    """A relation-satisfying bundle of genus low-high and a Random for the operation, both from one drawn seed."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    b = random_valid_bundle(rng, rng.randint(2, 6), euler_bound=rng.choice([5, 10**30]))
+    b = random_valid_bundle(rng, rng.randint(low, high), euler_bound=rng.choice([5, 10**30]))
     return b, rng
+
+
+def _at_genus_20_to_50(test):
+    """The property that test checks, as a slow test of 20 examples on genus 20-50."""
+    slow = settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    return pytest.mark.slow(slow(given(_bundles(20, 50))(test.hypothesis.inner_test)))
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
@@ -84,3 +92,10 @@ def test_nielsen_moves_on_the_base(drawn):
     assert relation_sublattice(moved) == relation_sublattice(b)
     assert _answers(moved) == _answers(b)
     assert e2_ranks(b.genus, moved.monodromy).rank_e11 == e2_ranks(b.genus, b.monodromy).rank_e11
+
+
+test_euler_class_matters_only_modulo_the_relation_span_at_genus_20_to_50 = _at_genus_20_to_50(
+    test_euler_class_matters_only_modulo_the_relation_span
+)
+test_reversing_the_fiber_orientation_at_genus_20_to_50 = _at_genus_20_to_50(test_reversing_the_fiber_orientation)
+test_nielsen_moves_on_the_base_at_genus_20_to_50 = _at_genus_20_to_50(test_nielsen_moves_on_the_base)
