@@ -27,10 +27,11 @@ SIGN_CONVENTION = (
 _YES = {True: "yes", False: "no"}
 # swpoly lists one coefficient per residue mod |n|: at |n| = 10**6 that is 7 MB of JSON in about 1 s
 MAX_LISTED_MODULUS = 10**6
-# verify-parity's largest grid, scored cells * max(|m|, |n|, g)^3 before any cell runs: a cell's subgroup order is at
-# most max(|m|, |n|), whose closure check is cubic, and its two binomial rows cost about g^2 (one cell took 9 ms at
-# g = 1,443 and 34 ms at g = 3,000).  g 2..20 with m, n in -20..20 scores 2.6e8 and took 1.4-2.1 s; g 2..2 with m, n
-# in 790..792 scores 4.5e9 and took 12.8-13.2 s in process.
+# verify-parity's largest grid, scored cells * (max(|m|, |n|)^3 + g^2) before any cell runs: a cell's subgroup order
+# is at most max(|m|, |n|), whose closure check is cubic, and its two binomial rows cost about g^2.  Python 3.11.7, a
+# 2-vCPU Xeon host, process included: g 2..20 with m, n in -20..20 scores 2.7e8 and took 1.3 s; g 3,000 with m = n = 1
+# took 0.09 s; g 2..1442 with m = n = 1 scores 3.0e9 and took 3.4-4.0 s; g 2..2 with m, n in 790..792 scores 4.5e9 and
+# took 14.6-14.7 s in process.
 MAX_PARITY_WORK = 3 * 10**9
 # classify and spectral walk the Fox relator once per generator, quadratic in the genus: is_symplectic took 0.29 s at
 # g = 200 and 8.5-10.8 s at g = 1,000 on a 2-vCPU Xeon host with Python 3.11.7.  homology is linear, any genus goes.
@@ -214,9 +215,9 @@ def _verify_parity(args: argparse.Namespace) -> dict[str, Any]:
     if g_range.start < 2:
         raise ValueError(f"--g range must start at 2 or above, got {args.g}")
     cells = (g_range.stop - g_range.start) * (mn_range.stop - mn_range.start) ** 2  # len() overflows past 2**63
-    if cells * max(g_range.stop - 1, -mn_range.start, mn_range.stop - 1) ** 3 > MAX_PARITY_WORK:
+    if cells * (max(-mn_range.start, mn_range.stop - 1) ** 3 + (g_range.stop - 1) ** 2) > MAX_PARITY_WORK:
         raise ValueError(
-            f"the grid --g {args.g} --mn {args.mn} scores cells * max(|m|, |n|, g)^3 above {MAX_PARITY_WORK}; "
+            f"the grid --g {args.g} --mn {args.mn} scores cells * (max(|m|, |n|)^3 + g^2) above {MAX_PARITY_WORK}; "
             "narrow --mn or --g"
         )
     return _plain(parity_sweep(g_range, mn_range, mn_range))

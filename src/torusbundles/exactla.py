@@ -1,15 +1,14 @@
 """Exact integer linear algebra.
 
-Every matrix the package builds is at most two rows or two columns wide, and
-each kernel it calls reads that thin side.  The rule route's fixed lattice
-runs on `integer_kernel`, a column echelon (Hermite) reduction carrying only
-the column transform, which is 2x2 on the 4g x 2 stack: a row meets the one
-live column in a dot product, never in a 2x2 minor.  The oracles' ranks run
-on `rank`, one pass of 2x2 minors, and `cokernel_structure` (H1 for
+Every matrix the package builds is at most two rows or two columns wide.  The
+rule route's fixed lattice runs on `integer_kernel`, a column echelon (Hermite)
+reduction carrying only the column transform, 2x2 on the 4g x 2 stack: a row
+meets the one live column in a dot product, never in a 2x2 minor.  The oracles'
+ranks run on `rank`, one pass of 2x2 minors, and `cokernel_structure` (H1 for
 `homology`) reads d1 | d2 off a running Hermite basis of the column span, so
-the rule route and the oracles reach every verdict on different kernels.
-`snf`, one gcd loop with both transforms, is the general Smith algorithm:
-the tests' reference, and the fallback for wider shapes.
+the rule route and the oracles reach every verdict on different kernels.  Both
+read the thin side and refuse any other shape.  `snf`, the general Smith
+algorithm, is only the tests' reference.
 """
 
 from __future__ import annotations
@@ -174,15 +173,16 @@ def _gcd_op(p: int, q: int) -> tuple[int, int, int, int]:
 
 
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form with transforms: returns (U, D, V) with U*m*V = D.
+    """Smith normal form with transforms, the tests' reference: returns (U, D, V) with U*m*V = D.
 
     D is diagonal with nonnegative entries satisfying d1 | d2 | ... and any
     zeros trailing; U and V are unimodular.  Total on all integer matrices,
-    including empty and zero ones.  One loop of gcd elimination (Cohen 2.4),
-    every step folded into U and V: step t swaps the smallest nonzero entry
-    left to (t, t) and clears its column and row by `_gcd_op`; while an entry
-    left is not a multiple of that pivot, its row is added into row t and
-    cleared again, so each pivot divides everything after it.
+    including empty and zero ones; no package code calls it.  One loop of gcd
+    elimination (Cohen 2.4), every step folded into U and V: step t swaps the
+    smallest nonzero entry left to (t, t) and clears its column and row by
+    `_gcd_op`; while an entry left is not a multiple of that pivot, its row is
+    added into row t and cleared again, so each pivot divides everything after
+    it.
     """
     nr, nc = m.rows, m.cols
     a = [list(row) for row in m.entries]
@@ -279,13 +279,18 @@ def _thin_rank(rows: Sequence[Sequence[int]]) -> int:
     return 0
 
 
-def rank(m: IntMatrix) -> int:
-    """Rank of an integer matrix: 2x2 minors if it has at most two rows or columns, else the Smith diagonal of snf."""
+def _thin_side(m: IntMatrix) -> Sequence[Sequence[int]]:
+    """m's rows if it has at most two, else its columns if it has at most two; no package code builds other shapes."""
     if m.rows <= 2:
-        return _thin_rank(m.entries)
+        return m.entries
     if m.cols <= 2:
-        return _thin_rank(tuple(zip(*m.entries)))
-    return sum(map(bool, snf(m)[1].diagonal()))
+        return tuple(zip(*m.entries))
+    raise ValueError(f"a {m.rows}x{m.cols} matrix has more than two rows and columns; only thin shapes are read")
+
+
+def rank(m: IntMatrix) -> int:
+    """Rank of a matrix at most two rows or two columns wide, by 2x2 minors; any other shape is a ValueError."""
+    return _thin_rank(_thin_side(m))
 
 
 def _normalize_column_sign(column: Sequence[int]) -> tuple[int, ...]:
@@ -352,13 +357,8 @@ def _echelon_kernel(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
 
 
 def cokernel_structure(m: IntMatrix) -> AbelianGroup:
-    """Isomorphism type of Z^rows / column-span(m), read off the Smith invariants of its thin side, else of snf."""
-    if m.rows <= 2:
-        nonzero = _thin_invariants(m.entries)
-    elif m.cols <= 2:
-        nonzero = _thin_invariants(tuple(zip(*m.entries)))
-    else:
-        nonzero = [x for x in snf(m)[1].diagonal() if x]
+    """Z^rows / column-span(m), read off the Smith invariants of its thin side; other shapes raise ValueError."""
+    nonzero = _thin_invariants(_thin_side(m))
     return AbelianGroup(
         free_rank=m.rows - len(nonzero),
         invariant_factors=tuple(x for x in nonzero if x >= 2),

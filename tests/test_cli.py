@@ -166,7 +166,8 @@ class TestVerifyParity:
         assert payload["all_even"] is True
 
     @pytest.mark.parametrize(
-        "g, mn", [("2..2", "790..792"), ("2..3", "-1000000000..1000000000"), ("2..3000", "1..2")]
+        "g, mn",
+        [("2..2", "790..792"), ("2..3", "-1000000000..1000000000"), ("2..3000", "1..2"), ("2..1443", "1..1")],
     )
     def test_a_grid_above_the_budget_is_refused_before_it_runs(self, g, mn, capsys):
         start = time.perf_counter()
@@ -176,12 +177,19 @@ class TestVerifyParity:
 
     def test_the_grid_budget_is_inclusive(self, monkeypatch, capsys):
         sweeps = count_calls(monkeypatch, torusbundles.swcalc.parity_sweep)
-        monkeypatch.setattr(torusbundles.cli, "MAX_PARITY_WORK", 4 * 2**3)  # 1 genus, 2 x 2 cells, max(|m|, |n|) = 2
+        work = 4 * (2**3 + 2**2)  # 1 genus, 2 x 2 cells, max(|m|, |n|) = 2, g = 2
+        monkeypatch.setattr(torusbundles.cli, "MAX_PARITY_WORK", work)
         assert run(["verify-parity", "--g", "2..2", "--mn", "1..2"]) == 0
         assert run(["verify-parity", "--g", "2..2", "--mn", "-2..-1"]) == 0
-        monkeypatch.setattr(torusbundles.cli, "MAX_PARITY_WORK", 4 * 2**3 - 1)
+        monkeypatch.setattr(torusbundles.cli, "MAX_PARITY_WORK", work - 1)
         assert run(["verify-parity", "--g", "2..2", "--mn", "1..2"]) == 1
         assert len(sweeps) == 2
+
+    @pytest.mark.parametrize("g", ["1443..1443", "3000..3000", "7000..7000"])
+    def test_one_cell_at_a_large_genus_is_not_refused(self, g, capsys):
+        """The genus enters the grid score as g^2, the cost of a cell's two binomial rows, not as g^3."""
+        assert run(["verify-parity", "--g", g, "--mn", "1..1"]) == 0
+        assert "cases evaluated: 1\n" in capsys.readouterr().out
 
     def test_bad_range_syntax(self, capsys):
         assert run(["verify-parity", "--g", "2-3", "--mn", "1..2"]) == 1

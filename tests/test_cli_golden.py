@@ -12,14 +12,16 @@ from pathlib import Path
 
 import pytest
 
+from torusbundles import snf
 from torusbundles.cli import _build_parser, run
+
+from support import replace_everywhere
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted((GOLDEN / "cases").glob("*.json"))
 
 
-@pytest.mark.parametrize("case", CASES, ids=[c.stem for c in CASES])
-def test_cli_transcript(case, monkeypatch, capsys):
+def _assert_replays(case, monkeypatch, capsys):
     expected = json.loads(case.read_text(encoding="utf-8"))
     monkeypatch.chdir(GOLDEN)
     monkeypatch.setenv("COLUMNS", "80")
@@ -29,7 +31,23 @@ def test_cli_transcript(case, monkeypatch, capsys):
         expected["exit_code"],
         expected["stdout"],
         expected["stderr"],
-    )
+    ), case.stem
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c.stem for c in CASES])
+def test_cli_transcript(case, monkeypatch, capsys):
+    _assert_replays(case, monkeypatch, capsys)
+
+
+def test_no_transcript_reaches_snf(monkeypatch, capsys):
+    """snf is the tests' reference only: with it raising, every transcript still replays."""
+
+    def refuse(m):
+        raise AssertionError(f"snf called on a {m.rows}x{m.cols} matrix")
+
+    replace_everywhere(monkeypatch, snf, refuse)
+    for case in CASES:
+        _assert_replays(case, monkeypatch, capsys)
 
 
 def test_every_subcommand_has_text_json_and_help_cases():

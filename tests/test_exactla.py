@@ -21,10 +21,17 @@ from torusbundles.homology import fiber_relation_matrix
 from support import random_valid_bundle, snf_kernel
 
 
-def random_matrix(rng, max_dim=6, bound=9):
-    nr = rng.randint(0, max_dim)
+def random_matrix(rng, max_dim=6, bound=9, thin=False):
+    """thin=True draws at most two rows, transposed half the time into at most two columns."""
+    nr = rng.randint(0, 2 if thin else max_dim)
     nc = rng.randint(0, max_dim)
-    return IntMatrix([[rng.randint(-bound, bound) for _ in range(nc)] for _ in range(nr)], cols=nc)
+    m = IntMatrix([[rng.randint(-bound, bound) for _ in range(nc)] for _ in range(nr)], cols=nc)
+    return m.transpose() if thin and rng.random() < 0.5 else m
+
+
+def smith_rank(m):
+    """The rank of any shape, read off snf's diagonal; rank itself reads only thin shapes."""
+    return sum(map(bool, snf(m)[1].diagonal()))
 
 
 def assert_snf_contract(m):
@@ -136,7 +143,7 @@ class TestCokernel:
     def test_invariant_under_unimodular_transforms(self):
         rng = random.Random(4021)
         for _ in range(60):
-            m = random_matrix(rng, max_dim=4, bound=6)
+            m = random_matrix(rng, max_dim=4, bound=6, thin=True)
             left = random_unimodular(rng, m.rows)
             right = random_unimodular(rng, m.cols)
             assert cokernel_structure(left @ m @ right) == cokernel_structure(m)
@@ -182,7 +189,7 @@ class TestKernel:
             k = integer_kernel(m)
             if m.rows and k.cols:
                 assert (m @ k).is_zero()
-            assert rank(m) + k.cols == m.cols
+            assert smith_rank(m) + k.cols == m.cols
             for col in k.columns():
                 g = 0
                 for x in col:
@@ -270,6 +277,13 @@ class TestSmithDiagonal:
         assert cokernel_structure(wide) == AbelianGroup(0, (2, 8))
         assert cokernel_structure(wide.transpose()) == AbelianGroup(1, (2, 8))
 
+    @pytest.mark.parametrize("reader", [rank, cokernel_structure])
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 40), (40, 3)])
+    def test_shapes_wider_than_two_both_ways_are_refused(self, reader, shape):
+        rows, cols = shape
+        with pytest.raises(ValueError, match=f"a {rows}x{cols} matrix"):
+            reader(IntMatrix.zeros(rows, cols))
+
 
 class TestThinRank:
     """rank on at most two rows or columns, one pass of 2x2 minors, against the Smith diagonal and sympy."""
@@ -328,7 +342,7 @@ def _kernel_matrices(draw):
 
 
 class TestHermiteKernel:
-    """integer_kernel, the rule route's kernel, against rank, the Smith diagonal and sympy's Hermite form."""
+    """integer_kernel, the rule route's kernel, against snf's rank and kernel and sympy's Hermite form."""
 
     @settings(max_examples=50, derandomize=True, database=None, deadline=None)
     @given(_kernel_matrices())
@@ -336,8 +350,8 @@ class TestHermiteKernel:
         k = integer_kernel(m)
         assert k.rows == m.cols
         assert (m @ k).is_zero()
-        assert rank(m) + k.cols == m.cols
-        assert cokernel_structure(k) == AbelianGroup(k.rows - k.cols)  # saturated: Z^rows / lattice is torsion-free
+        assert smith_rank(m) + k.cols == m.cols
+        assert all(d == 1 for d in snf(k)[1].diagonal())  # saturated: Z^rows / lattice is torsion-free
         reference = snf_kernel(m)
         assert k.cols == reference.cols
         if k.cols:
