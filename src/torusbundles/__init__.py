@@ -44,7 +44,6 @@ _HOMES = {
         "sw4_zero_closed",
         "sw4_zero_coset",
         "sw4_zero_gcd",
-        "sw4_zero_nonpullback",
         "sw4_zero_routes",
         "sw_poly_circle_bundle",
     ),

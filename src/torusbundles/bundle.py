@@ -87,15 +87,31 @@ class SL2Z(Record):
         return [[self.a, self.b], [self.c, self.d]]
 
 
-class Lattice(Record):
-    """Saturated sublattice of Z^2 given by a primitive basis."""
+def require_monodromy(genus: int, monodromy: Any) -> tuple[SL2Z, ...]:
+    """require_genus, then the monodromy as a tuple of exactly 2*genus SL2Z values."""
+    require_genus(genus)
+    try:
+        mats = tuple(monodromy)
+    except TypeError:
+        raise ValidationError("monodromy must be a sequence of SL2Z values") from None
+    if len(mats) != 2 * genus:
+        raise ValidationError(f"monodromy has {len(mats)} matrices, expected 2*genus = {_show(2 * genus)}")
+    for i, m in enumerate(mats):
+        if not isinstance(m, SL2Z):
+            raise ValidationError(f"monodromy[{i}] is not an SL2Z value")
+    return mats
 
-    rank: int
+
+class Lattice(Record):
+    """Saturated sublattice of Z^2 given by a primitive basis; its rank is the basis size."""
+
     basis: tuple[tuple[int, int], ...]
 
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
+
     def _check(self) -> None:
-        if self.rank != len(self.basis):
-            raise ValueError("rank disagrees with basis size")
         for v in self.basis:
             if v == (0, 0):
                 raise ValueError("zero vector in lattice basis")
@@ -125,15 +141,7 @@ class TorusBundle(Record):
     def _check(self) -> None:
         if isinstance(self.genus, bool) or not isinstance(self.genus, int):
             raise ValidationError(f"genus {self.genus!r} is not an integer")
-        require_genus(self.genus)
-        try:
-            object.__setattr__(self, "monodromy", tuple(self.monodromy))
-        except TypeError:
-            raise ValidationError("monodromy must be a sequence of SL2Z values") from None
-        _require_count(len(self.monodromy), self.genus)
-        for i, m in enumerate(self.monodromy):
-            if not isinstance(m, SL2Z):
-                raise ValidationError(f"monodromy[{i}] is not an SL2Z value")
+        object.__setattr__(self, "monodromy", require_monodromy(self.genus, self.monodromy))
         try:
             m, n = self.euler
         except (TypeError, ValueError):
@@ -186,11 +194,6 @@ class TorusBundle(Record):
         }
 
 
-def _require_count(count: int, genus: int) -> None:
-    if count != 2 * genus:
-        raise ValidationError(f"monodromy has {count} matrices, expected 2*genus = {_show(2 * genus)}")
-
-
 def _require_int(value: Any, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"field {field} must be an integer, got {value!r}") from None
@@ -229,9 +232,7 @@ def bundle_from_dict(obj: Any) -> TorusBundle:
     if not isinstance(raw_euler, list) or len(raw_euler) != 2:
         raise ParseError("field euler must be an array [m, n]")
     euler = (_require_int(raw_euler[0], "euler[0]"), _require_int(raw_euler[1], "euler[1]"))
-    require_genus(genus)
-    _require_count(len(matrices), genus)
-    return TorusBundle._trusted(genus, tuple(matrices), euler)
+    return TorusBundle._trusted(genus, require_monodromy(genus, matrices), euler)
 
 
 def parse_bundle(text: str) -> TorusBundle:
@@ -254,7 +255,7 @@ def parse_bundle(text: str) -> TorusBundle:
 
 def _lattice_from_kernel_columns(basis_matrix: IntMatrix) -> Lattice:
     columns = tuple(zip(*basis_matrix.entries))
-    return Lattice(len(columns), columns)
+    return Lattice(columns)
 
 
 def fixed_sublattice(b: TorusBundle) -> Lattice:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ._record import Record
-from .bundle import SL2Z, TorusBundle, require_genus
+from .bundle import SL2Z, TorusBundle, require_monodromy
 from .exactla import IntMatrix, rank
 from .homology import betti
 
@@ -51,16 +51,6 @@ def surface_relator(g: int) -> tuple[int, ...]:
     """Relator word over signed 1-based letters: generator j is letter j+1, its inverse -(j+1)."""
     # the commutator [a_i, b_i] = a b a^-1 b^-1 with a = 2i + 1, b = 2i + 2
     return tuple(x for a in range(1, 2 * g, 2) for x in (a, a + 1, -a, -a - 1))
-
-
-def _validate_monodromy(g: int, monodromy: Sequence[SL2Z]) -> tuple[SL2Z, ...]:
-    mats = tuple(monodromy)
-    require_genus(g)
-    if len(mats) != 2 * g:
-        raise ValueError(f"expected {2 * g} monodromy matrices, got {len(mats)}")
-    if not all(isinstance(m, SL2Z) for m in mats):  # the Fox matrices are built unchecked from their entries
-        raise ValueError("monodromy entries must be SL2Z values")
-    return mats
 
 
 def _fox_block(word: Sequence[int], j: int, mats: Sequence[SL2Z], invs: Sequence[SL2Z]) -> tuple[tuple[int, int], ...]:
@@ -100,7 +90,7 @@ def fox_boundary_matrices(g: int, monodromy: Sequence[SL2Z]) -> tuple[IntMatrix,
     derivative with respect to x_j, evaluated as in _fox_block.  D1 @ D2 = 0
     whenever the monodromy satisfies the surface relation.
     """
-    mats = _validate_monodromy(g, monodromy)
+    mats = require_monodromy(g, monodromy)  # the Fox matrices are built unchecked from their entries
     relator = surface_relator(g)
     invs = [m.inverse() for m in mats]
     d1 = (

@@ -17,13 +17,12 @@ The routes share no binomial code: each builds its own row of C(2g-2, q), one
 upward and one downward, so a fault in either row shows up as a disagreement.
 
 On top of the polynomial sit the degree-zero invariants of the associated
-principal torus bundle: a coset-sum evaluation, a closed form with a
-multiplicity prefactor |n| / gcd(|2m|, |n|), and the prefactor-free variant
-for bundles whose Euler class misses the pullback torsion subgroup.  The
-closed form sums the direct polynomial over the subgroup <m>, i.e. over the
-residues divisible by gcd(|m|, |n|); that reading is forced by exact
-agreement with the coset evaluation.  For n even with m odd no closed form
-is offered and the coset route is the contract; sw4_zero_routes evaluates
+principal torus bundle: a coset-sum evaluation, and a closed form with a
+multiplicity prefactor |n| / gcd(|2m|, |n|).  The closed form sums the direct
+polynomial over the subgroup <m>, i.e. over the residues divisible by
+gcd(|m|, |n|), and agrees exactly with the coset evaluation.  That agreement
+holds for n even with m odd too, but the closed form is offered only off those
+cells, where the coset route is the contract; sw4_zero_routes evaluates
 both routes for the CLI and the parity sweep.  sw4_zero_gcd reads the value off
 the product coefficients and two gcds, and carries the proof that it is always even.
 """
@@ -109,8 +108,7 @@ def cyclic_subgroup(m: int, n: int) -> ResidueSet:
     order above MAX_SUBGROUP_ORDER, whose cubic closure check would run for
     more than about 3 s.
     """
-    if n == 0:
-        raise ValueError("modulus parameter n must be nonzero")
+    _require_nonzero(n)
     modulus = abs(n)
     step = gcd(abs(m), modulus)  # gcd(0, |n|) = |n|, so m = 0 yields {0}
     order = modulus // step
@@ -231,32 +229,25 @@ def sw4_zero_coset(g: int, m: int, n: int) -> int:
     return total
 
 
-def _inner_sums(g: int, m: int, n: int, form: str) -> int:
-    """The direct polynomial summed over <m>: its terms whose residue is divisible by gcd(|m|,|n|).
+def sw4_zero_closed(g: int, m: int, n: int) -> int:
+    """Closed form for the degree-zero invariant.
 
-    The sum carries the polynomial's sign(n).  Even n requires even m (else
-    UnsupportedParityError naming the form).
+    |n| / gcd(|2m|,|n|) times the direct polynomial summed over <m>: its
+    terms whose residue is divisible by gcd(|m|,|n|), which carry sign(n).
+    The prefactor is |<2m>|, the order of the doubled subgroup; gcd(|2m|,|n|)
+    is d or 2d for d = gcd(|m|,|n|), according to whether doubling m doubles
+    the gcd (never for odd n).  Even n requires even m (else
+    UnsupportedParityError).  Must equal sw4_zero_coset everywhere it is
+    defined.
     """
     _require_sw_genus(g)
     _require_nonzero(n)
     if n % 2 == 0 and m % 2 != 0:
         raise UnsupportedParityError(
-            f"{form} undefined for even n = {n} with odd m = {m}; use the coset evaluation"
+            f"closed form undefined for even n = {n} with odd m = {m}; use the coset evaluation"
         )
     d = gcd(m, n)
-    return sum(c for r, c in sw_poly_circle_bundle(g, n).terms if r % d == 0)
-
-
-def sw4_zero_closed(g: int, m: int, n: int) -> int:
-    """Closed form for the degree-zero invariant.
-
-    |n| / gcd(|2m|,|n|) times the inner sums.  The prefactor is
-    |<2m>|, the order of the doubled subgroup; gcd(|2m|,|n|) is d or 2d for
-    d = gcd(|m|,|n|), according to whether doubling m doubles the gcd (never
-    for odd n).  Even n requires even m.  Must equal sw4_zero_coset
-    everywhere it is defined.
-    """
-    inner = _inner_sums(g, m, n, "closed form")  # validates g and n before the gcd divides
+    inner = sum(c for r, c in sw_poly_circle_bundle(g, n).terms if r % d == 0)
     return (abs(n) // gcd(2 * m, n)) * inner
 
 
@@ -271,16 +262,6 @@ def sw4_zero_routes(g: int, m: int, n: int) -> tuple[int, int | None]:
         return coset, sw4_zero_closed(g, m, n)
     except UnsupportedParityError:
         return coset, None
-
-
-def sw4_zero_nonpullback(g: int, m: int, n: int) -> int:
-    """Prefactor-free variant: the inner sums alone, which carry sign(n).
-
-    Applies when the Euler class meets the pullback torsion subgroup only at
-    zero, so every contributing structure is counted once.  Same parity
-    restriction as the closed form; always an even integer.
-    """
-    return _inner_sums(g, m, n, "prefactor-free form")
 
 
 def sw4_zero_gcd(g: int, m: int, n: int) -> int:

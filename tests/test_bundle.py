@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from torusbundles import bundle as bundle_module
 from torusbundles import (
+    Lattice,
     ParseError,
     SL2Z,
     TorusBundle,
@@ -219,6 +220,15 @@ class TestParsing:
         for _ in range(25):
             b = random_valid_bundle(rng, rng.choice([2, 3]))
             assert parse_bundle(json.dumps(b.to_dict())) == b
+
+
+class TestLattice:
+    def test_rank_is_the_basis_size(self):
+        assert Lattice(((1, 0),)).rank == 1
+        assert Lattice(()).rank == 0
+        assert Lattice(((1, 0), (0, 1))).rank == 2
+        with pytest.raises(TypeError):
+            Lattice(1, ((1, 0),))  # basis is the only field
 
 
 class TestFixedSublattice:

@@ -40,7 +40,7 @@ COUNTEREXAMPLE = SweepCounterexample(2, 1, 3, 5, "odd-value", "value 5 is odd")
 # (type, field values, a second value differing in one field)
 SAMPLES = [
     (SL2Z, dict(a=1, b=1, c=0, d=1), dict(a=1, b=2, c=0, d=1)),
-    (Lattice, dict(rank=1, basis=((1, 0),)), dict(rank=1, basis=((0, 1),))),
+    (Lattice, dict(basis=((1, 0),)), dict(basis=((0, 1),))),
     (
         TorusBundle,
         dict(genus=2, monodromy=(UPPER, IDENTITY, IDENTITY, IDENTITY), euler=(2, 0)),

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from torusbundles import (
     TorusBundle,
+    ValidationError,
     betti,
     e2_ranks,
     fiber_class_via_spectral,
@@ -52,6 +53,13 @@ class TestBoundaryMatrices:
         # the Fox matrices are built from the entries without a second check, so only SL2Z values get in
         with pytest.raises(ValueError, match="SL2Z"):
             fox_boundary_matrices(2, [[[1, 0], [0, 1]]] * 4)
+
+    @pytest.mark.parametrize("op", [fox_boundary_matrices, e2_ranks])
+    def test_rejects_a_monodromy_count_or_genus_the_bundle_type_rejects(self, op):
+        with pytest.raises(ValidationError, match=r"^monodromy has 3 matrices, expected 2\*genus = 4$"):
+            op(2, (IDENTITY,) * 3)
+        with pytest.raises(ValidationError, match=r"^genus 1 is below the supported range \(need g >= 2\)$"):
+            op(1, (IDENTITY,) * 2)
 
     def test_trivial_monodromy_gives_zero_maps(self):
         d2, d1 = fox_boundary_matrices(2, (IDENTITY,) * 4)

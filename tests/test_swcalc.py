@@ -15,7 +15,6 @@ from torusbundles import (
     sw4_zero_closed,
     sw4_zero_coset,
     sw4_zero_gcd,
-    sw4_zero_nonpullback,
     sw4_zero_routes,
     sw_poly_circle_bundle,
     swcalc,
@@ -44,7 +43,7 @@ class TestCyclicSubgroup:
                 assert len(cyclic_subgroup(m, n)) == abs(n) // gcd(abs(m), abs(n))
 
     def test_rejects_zero_modulus(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^Euler number n must be nonzero$"):
             cyclic_subgroup(1, 0)
 
     def test_rejects_an_order_above_the_budget(self, monkeypatch):
@@ -173,7 +172,8 @@ class TestPolynomial:
             lambda: sw_poly_circle_bundle(huge, 3),
             lambda: fold_product_poly(huge, 3),
             lambda: sw4_zero_routes(huge, 1, 3),
-            lambda: sw4_zero_nonpullback(huge, 2, 4),
+            lambda: sw4_zero_closed(huge, 2, 4),
+            lambda: sw4_zero_gcd(huge, 2, 4),
             lambda: parity_sweep([2, huge], [1], [3]),
         ]
         for call in calls:
@@ -201,11 +201,8 @@ class TestSw4Zero:
         assert sw4_zero_closed(2, 3, 3) == -2
         assert sw4_zero_closed(2, 4, 4) == -2
         assert sw4_zero_closed(2, 2, 2) == 0
-
-    def test_nonpullback_examples(self):
-        assert sw4_zero_nonpullback(2, 3, 3) == -2
-        assert sw4_zero_nonpullback(2, 1, 3) == 0
-        assert sw4_zero_nonpullback(3, 1, 1) == 0
+        assert sw4_zero_closed(2, 1, 3) == 0
+        assert sw4_zero_closed(3, 1, 1) == 0
 
     def test_closed_matches_coset_on_its_domain(self):
         for g in (2, 3, 4):
@@ -228,10 +225,10 @@ class TestSw4Zero:
         assert (builds == 1) == (gcd(2 * m, n) == gcd(m, n))
 
     def test_even_n_odd_m_has_no_closed_form(self):
-        with pytest.raises(UnsupportedParityError):
+        with pytest.raises(UnsupportedParityError, match="^closed form undefined for even n = 2 with odd m = 1; "):
             sw4_zero_closed(2, 1, 2)
-        with pytest.raises(UnsupportedParityError):
-            sw4_zero_nonpullback(2, 3, 4)
+        with pytest.raises(UnsupportedParityError, match="even n = -4 with odd m = 3"):
+            sw4_zero_closed(2, 3, -4)
         # the coset route stays total there
         assert sw4_zero_coset(2, 1, 2) % 2 == 0
 
@@ -240,15 +237,7 @@ class TestSw4Zero:
             for m in (1, 2, 3, 4):
                 for n in (1, 2, 3, 4, 5):
                     assert sw4_zero_coset(g, m, -n) == -sw4_zero_coset(g, m, n)
-                    assert sw4_zero_nonpullback(g, 2 * m, -2 * n) == -sw4_zero_nonpullback(g, 2 * m, 2 * n)
-
-    def test_nonpullback_always_even(self):
-        for g in (2, 3, 4, 5):
-            for m in range(-6, 7):
-                for n in list(range(-6, 0)) + list(range(1, 7)):
-                    if m == 0 or (n % 2 == 0 and m % 2 != 0):
-                        continue
-                    assert sw4_zero_nonpullback(g, m, n) % 2 == 0
+                    assert sw4_zero_closed(g, 2 * m, -2 * n) == -sw4_zero_closed(g, 2 * m, 2 * n)
 
 
 class TestParitySweep:
@@ -441,4 +430,14 @@ def test_degree_zero_routes_agree_for_large_n(g, euler):
     assume(n % 2 != 0 or m % 2 == 0)  # where the closed form is defined
     coset = sw4_zero_coset(g, m, n)
     assert sw4_zero_closed(g, m, n) == coset
-    assert sw4_zero_nonpullback(g, m, n) * (abs(n) // gcd(2 * m, n)) == coset
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.integers(2, 6), st.integers(-25, 25).filter(bool), st.integers(-24, 24).filter(bool))
+def test_closed_formula_holds_off_its_domain_too(g, m, n):
+    """|<2m>| times the direct polynomial summed over <m> is the coset value on every cell, even n with odd m
+    included, where sw4_zero_closed refuses; the sum over <m> is even, as sw4_zero_gcd's lemma C says."""
+    d = gcd(m, n)
+    inner = sum(c for r, c in sw_poly_circle_bundle(g, n).terms if r % d == 0)
+    assert inner % 2 == 0
+    assert (abs(n) // gcd(2 * m, n)) * inner == sw4_zero_coset(g, m, n)
