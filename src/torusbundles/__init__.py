@@ -17,10 +17,8 @@ _HOMES = {
         "ParseError",
         "SL2Z",
         "TorusBundle",
-        "conjugate_bundle",
         "fixed_sublattice",
         "parse_bundle",
-        "relation_sublattice",
     ),
     "classify": (
         "ClassificationReport",

@@ -4,9 +4,6 @@ A bundle over a genus-g surface is recorded by its monodromy (an ordered list
 of 2g matrices in SL(2,Z), acting on column vectors on the left, in the fiber
 basis x1 = (1,0), x2 = (0,1)) and its Euler class (m, n) expressed in that
 same basis.  The rule route reads the common fixed lattice of the monodromy.
-The saturation of the subgroup generated by the vectors A*x - x is derived
-too, but no package code calls it: the tests use it as the reference for the
-rank of the Fox matrix D1 and in the Nielsen-move property.
 """
 
 from __future__ import annotations
@@ -76,12 +73,6 @@ class SL2Z(Record):
 
     def inverse(self) -> "SL2Z":
         return SL2Z._trusted(self.d, -self.b, -self.c, self.a)
-
-    def apply(self, v: tuple[int, int]) -> tuple[int, int]:
-        return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
-
-    def conjugate(self, p: "SL2Z") -> "SL2Z":
-        return p * self * p.inverse()
 
     def rows(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]
@@ -200,8 +191,22 @@ def _require_int(value: Any, field: str) -> int:
     return value
 
 
-def bundle_from_dict(obj: Any) -> TorusBundle:
-    """Build a validated bundle from a parsed document object, checking each field once, here, so `_check` is skipped."""
+def parse_bundle(text: str) -> TorusBundle:
+    """Parse the bundle file format.
+
+    The format is a JSON object {"genus": g, "monodromy": [[[a,b],[c,d]], ...],
+    "euler": [m, n]} with exactly 2g monodromy matrices, each of determinant
+    1, and unbounded integers throughout.  An integer literal longer than
+    Python's digit limit (4,300 digits unless the interpreter is configured
+    otherwise) is refused with a ParseError, as is malformed or too deeply
+    nested JSON.
+    """
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError: JSONDecodeError or an integer literal over the digit limit; RecursionError: deep nesting
+        raise ParseError(f"invalid bundle document: {exc}") from None
+    # each field is checked once, here, so the bundle is built without `_check`
     if not isinstance(obj, dict):
         raise ParseError("bundle document must be an object with keys genus, monodromy, euler")
     for key in ("genus", "monodromy", "euler"):
@@ -235,29 +240,6 @@ def bundle_from_dict(obj: Any) -> TorusBundle:
     return TorusBundle._trusted(genus, require_monodromy(genus, matrices), euler)
 
 
-def parse_bundle(text: str) -> TorusBundle:
-    """Parse the bundle file format.
-
-    The format is a JSON object {"genus": g, "monodromy": [[[a,b],[c,d]], ...],
-    "euler": [m, n]} with exactly 2g monodromy matrices, each of determinant
-    1, and unbounded integers throughout.  An integer literal longer than
-    Python's digit limit (4,300 digits unless the interpreter is configured
-    otherwise) is refused with a ParseError, as is malformed or too deeply
-    nested JSON.
-    """
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # ValueError: JSONDecodeError or an integer literal over the digit limit; RecursionError: deep nesting
-        raise ParseError(f"invalid bundle document: {exc}") from None
-    return bundle_from_dict(obj)
-
-
-def _lattice_from_kernel_columns(basis_matrix: IntMatrix) -> Lattice:
-    columns = tuple(zip(*basis_matrix.entries))
-    return Lattice(columns)
-
-
 def fixed_sublattice(b: TorusBundle) -> Lattice:
     """Saturated lattice of vectors fixed by every monodromy matrix.
 
@@ -266,28 +248,6 @@ def fixed_sublattice(b: TorusBundle) -> Lattice:
     """
     # the 4g x 2 stack of the blocks A_i - I
     stacked = tuple(row for m in b.monodromy for row in ((m.a - 1, m.b), (m.c, m.d - 1)))
-    return _lattice_from_kernel_columns(integer_kernel(IntMatrix._trusted(stacked, 2)))
+    kernel = integer_kernel(IntMatrix._trusted(stacked, 2))
+    return Lattice(tuple(zip(*kernel.entries)))
 
-
-def relation_sublattice(b: TorusBundle) -> Lattice:
-    """Saturation of the subgroup of Z^2 generated by the vectors A*x - x.
-
-    The generators are the columns of the matrices A_i - I.  Rank 0 exactly
-    for trivial monodromy; rank 1 exactly for nontrivial monodromy with a
-    common fixed vector, in which case the lattice spans the same line as
-    fixed_sublattice.
-    """
-    # the 4g x 2 stack of the transposed blocks (A_i - I)^T, one row per generator
-    generators = tuple(row for m in b.monodromy for row in ((m.a - 1, m.c), (m.b, m.d - 1)))
-    orthogonal = integer_kernel(IntMatrix._trusted(generators, 2))
-    saturation = integer_kernel(orthogonal.transpose())
-    return _lattice_from_kernel_columns(saturation)
-
-
-def conjugate_bundle(b: TorusBundle, p: SL2Z) -> TorusBundle:
-    """Change of fiber basis: conjugate the monodromy by p and push the Euler class through p."""
-    return TorusBundle(
-        b.genus,
-        tuple(m.conjugate(p) for m in b.monodromy),
-        p.apply(b.euler),
-    )

@@ -70,14 +70,6 @@ class IntMatrix:
         m._cols = cols
         return m
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
     @property
     def rows(self) -> int:
         return len(self._entries)
@@ -96,9 +88,6 @@ class IntMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self._entries)
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "IntMatrix":
         entries = self._entries

@@ -26,7 +26,7 @@ from math import gcd
 from pathlib import Path
 
 import torusbundles
-from torusbundles import SL2Z, IntMatrix, TorusBundle, fixed_sublattice, snf, xgcd
+from torusbundles import SL2Z, IntMatrix, Lattice, TorusBundle, exactla, fixed_sublattice, snf, xgcd
 
 IDENTITY = SL2Z.identity()
 UPPER = SL2Z(1, 1, 0, 1)
@@ -34,6 +34,48 @@ LOWER = SL2Z(1, 0, 1, 1)
 ROTATION = SL2Z(0, -1, 1, 0)
 
 WORD_LETTERS = (UPPER, UPPER.inverse(), LOWER, LOWER.inverse(), ROTATION)
+
+
+def apply(m: SL2Z, v: tuple[int, int]) -> tuple[int, int]:
+    """m * v for a column vector v."""
+    return (m.a * v[0] + m.b * v[1], m.c * v[0] + m.d * v[1])
+
+
+def conjugate(m: SL2Z, p: SL2Z) -> SL2Z:
+    """p * m * p^-1, by the package's trusted product and inverse."""
+    return p * m * p.inverse()
+
+
+def conjugate_bundle(b: TorusBundle, p: SL2Z) -> TorusBundle:
+    """Change of fiber basis: conjugate the monodromy by p and push the Euler class through p."""
+    return TorusBundle(b.genus, tuple(conjugate(m, p) for m in b.monodromy), apply(p, b.euler))
+
+
+def relation_sublattice(b: TorusBundle) -> Lattice:
+    """Saturation of the subgroup of Z^2 generated by the vectors A*x - x, the reference for rank D1.
+
+    The generators are the columns of the matrices A_i - I.  Rank 0 exactly for trivial monodromy; rank 1
+    exactly for nontrivial monodromy with a common fixed vector, in which case the lattice spans the same
+    line as fixed_sublattice.  It does not call fixed_sublattice, and it reads integer_kernel off
+    torusbundles.exactla at each call, so a test that replaces the kernel everywhere reaches it too.
+    """
+    # the 4g x 2 stack of the transposed blocks (A_i - I)^T, one row per generator
+    generators = [row for m in b.monodromy for row in ((m.a - 1, m.c), (m.b, m.d - 1))]
+    orthogonal = exactla.integer_kernel(IntMatrix(generators, cols=2))
+    saturation = exactla.integer_kernel(orthogonal.transpose())
+    return Lattice(tuple(zip(*saturation.entries)))
+
+
+def identity_matrix(n: int) -> IntMatrix:
+    return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
+def zero_matrix(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix([[0] * cols for _ in range(rows)], cols=cols)
+
+
+def columns(m: IntMatrix) -> list[tuple[int, ...]]:
+    return [m.column(j) for j in range(m.cols)]
 
 
 def random_sl2z(rng: random.Random, max_len: int = 5) -> SL2Z:
@@ -60,7 +102,7 @@ def random_valid_monodromy(rng: random.Random, g: int, max_len: int = 5) -> tupl
         mats = []
         for _ in range(2 * g):
             k = rng.randint(-2, 2)
-            mats.append(_power(UPPER, k).conjugate(p))
+            mats.append(conjugate(_power(UPPER, k), p))
         return tuple(mats)
 
     slots: list[SL2Z | None] = [None] * (2 * g)
@@ -90,7 +132,7 @@ def random_valid_monodromy(rng: random.Random, g: int, max_len: int = 5) -> tupl
                 handle += 1
 
     p = random_sl2z(rng, 3)
-    return tuple(m.conjugate(p) for m in slots)  # type: ignore[union-attr]
+    return tuple(conjugate(m, p) for m in slots)  # type: ignore[arg-type]
 
 
 def random_arbitrary_monodromy(rng: random.Random, g: int, max_len: int = 5) -> tuple[SL2Z, ...]:

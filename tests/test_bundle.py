@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import support
 from torusbundles import bundle as bundle_module
 from torusbundles import (
     Lattice,
@@ -12,19 +13,24 @@ from torusbundles import (
     SL2Z,
     TorusBundle,
     ValidationError,
-    conjugate_bundle,
     fixed_sublattice,
+    integer_kernel,
     parse_bundle,
-    relation_sublattice,
 )
 
 from support import (
     IDENTITY,
     ROTATION,
     UPPER,
+    apply,
+    conjugate,
+    conjugate_bundle,
+    count_calls,
     random_arbitrary_monodromy,
     random_sl2z,
     random_valid_bundle,
+    relation_sublattice,
+    replace_everywhere,
     sl2z_with_column,
 )
 
@@ -47,7 +53,7 @@ class TestSL2Z:
             assert SL2Z(p.a, p.b, p.c, p.d) == p
 
     def test_apply(self):
-        assert UPPER.apply((0, 1)) == (1, 1)
+        assert apply(UPPER, (0, 1)) == (1, 1)
 
     def test_product_with_a_non_sl2z_is_a_type_error(self):
         class FloatEntries:
@@ -79,7 +85,7 @@ def test_trusted_arithmetic_stays_in_sl2z(generators, word):
         m = m.inverse() if inverted else m
         letters.append(m)
         acc = acc * m
-        derived += [m, acc, acc.inverse(), m.conjugate(acc), acc.conjugate(m)]
+        derived += [m, acc, acc.inverse(), conjugate(m, acc), conjugate(acc, m)]
     for m in derived:
         assert SL2Z(m.a, m.b, m.c, m.d) == m
     undo = SL2Z.identity()
@@ -270,6 +276,25 @@ class TestRelationSublattice:
                 if rel.rank == 1:
                     assert fixed.contains(rel.basis[0])
 
+    def test_the_reference_never_calls_the_rule_routes_lattice(self, monkeypatch):
+        rng = random.Random(315)
+        bundles = [random_valid_bundle(rng, rng.choice([2, 3])) for _ in range(60)]
+        expected = [relation_sublattice(b) for b in bundles]
+
+        def refuse(b):
+            raise AssertionError("the relation lattice reference called fixed_sublattice")
+
+        replace_everywhere(monkeypatch, fixed_sublattice, refuse)
+        monkeypatch.setattr(support, "fixed_sublattice", refuse)
+        assert [relation_sublattice(b) for b in bundles] == expected
+        assert {lat.rank for lat in expected} == {0, 1, 2}
+
+    def test_the_reference_reads_integer_kernel_at_call_time(self, monkeypatch):
+        # so a test that replaces integer_kernel everywhere, as the genus-1000 lattice test does, reaches it
+        calls = count_calls(monkeypatch, integer_kernel)
+        assert relation_sublattice(bundle([UPPER, IDENTITY, IDENTITY, IDENTITY])).basis == ((1, 0),)
+        assert len(calls) == 2
+
 
 class TestRelationCheck:
     def test_trivial_and_single_nontrivial_tuples_are_representations(self):
@@ -298,10 +323,10 @@ class TestEquivariance:
             before, after = fixed_sublattice(b), fixed_sublattice(moved)
             assert before.rank == after.rank
             for v in before.basis:
-                assert after.contains(p.apply(v))
+                assert after.contains(apply(p, v))
             inv = p.inverse()
             for w in after.basis:
-                assert before.contains(inv.apply(w))
+                assert before.contains(apply(inv, w))
 
 
 def _hostile(rng):

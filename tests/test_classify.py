@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from torusbundles import (
     CrossChecks,
     E2Ranks,
-    IntMatrix,
     InternalInconsistencyError,
     TorusBundle,
     betti,
-    conjugate_bundle,
     e2_ranks,
     fiber_class_via_spectral,
     fixed_sublattice,
@@ -27,12 +25,14 @@ from support import (
     IDENTITY,
     ROTATION,
     UPPER,
+    conjugate_bundle,
     count_calls,
     random_arbitrary_monodromy,
     random_sl2z,
     random_valid_bundle,
     random_valid_monodromy,
     replace_everywhere,
+    zero_matrix,
 )
 
 
@@ -214,7 +214,7 @@ class TestKernelSplit:
         b = bundle([UPPER, IDENTITY, IDENTITY, UPPER.inverse()], euler=(0, 2))
         assert not is_symplectic(b).symplectic
         # an empty fixed lattice turns the rule verdict to "no circle action, symplectic"
-        replace_everywhere(monkeypatch, integer_kernel, lambda m: IntMatrix.zeros(m.cols, 0))
+        replace_everywhere(monkeypatch, integer_kernel, lambda m: zero_matrix(m.cols, 0))
         with pytest.raises(InternalInconsistencyError, match="^betti oracle \\(False\\) disagrees"):
             is_symplectic(b)
 

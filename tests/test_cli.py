@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -349,3 +351,14 @@ def test_a_subcommand_loads_only_the_modules_it_calls(argv, home, left_out):
     loaded = set(fresh_python(code).split())
     assert home in loaded
     assert not loaded & left_out
+
+
+@pytest.mark.slow
+def test_the_ci_console_smoke_script_passes_on_the_source_tree():
+    # the script CI runs on the installed console script, here run on this checkout's source by python -m
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "TORUSBUNDLES": f"{sys.executable} -m torusbundles.cli", "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        ["bash", str(root / "ci" / "smoke.sh"), "console"], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -18,7 +18,7 @@ from torusbundles import exactla
 from torusbundles.exactla import _thin_invariants
 from torusbundles.homology import fiber_relation_matrix
 
-from support import random_valid_bundle, snf_kernel
+from support import columns, identity_matrix, random_valid_bundle, snf_kernel, zero_matrix
 
 
 def random_matrix(rng, max_dim=6, bound=9, thin=False):
@@ -63,16 +63,16 @@ class TestSnf:
         assert d.diagonal() == (2, 4)
 
     def test_zero_matrix(self):
-        m = IntMatrix.zeros(2, 2)
+        m = zero_matrix(2, 2)
         u, d, v = snf(m)
-        assert d == IntMatrix.zeros(2, 2)
-        assert u == IntMatrix.identity(2)
-        assert v == IntMatrix.identity(2)
+        assert d == zero_matrix(2, 2)
+        assert u == identity_matrix(2)
+        assert v == identity_matrix(2)
 
     def test_identity(self):
-        m = IntMatrix.identity(3)
+        m = identity_matrix(3)
         _, d, _ = assert_snf_contract(m)
-        assert d == IntMatrix.identity(3)
+        assert d == identity_matrix(3)
 
     def test_empty_shapes(self):
         for m in (IntMatrix([], cols=3), IntMatrix([[], []]), IntMatrix([], cols=0)):
@@ -170,15 +170,15 @@ def random_unimodular(rng, n):
 class TestKernel:
     def test_single_relation(self):
         k = integer_kernel(IntMatrix([[1, 2]]))
-        assert k.columns() == [(2, -1)]
+        assert columns(k) == [(2, -1)]
 
     def test_identity_has_no_kernel(self):
-        assert integer_kernel(IntMatrix.identity(2)).cols == 0
+        assert integer_kernel(identity_matrix(2)).cols == 0
 
     def test_zero_matrix_full_kernel(self):
         from sympy import Matrix
 
-        k = integer_kernel(IntMatrix.zeros(2, 4))
+        k = integer_kernel(zero_matrix(2, 4))
         assert k.cols == 4
         assert abs(Matrix(k.entries).det()) == 1  # basis of all of Z^4
 
@@ -190,7 +190,7 @@ class TestKernel:
             if m.rows and k.cols:
                 assert (m @ k).is_zero()
             assert smith_rank(m) + k.cols == m.cols
-            for col in k.columns():
+            for col in columns(k):
                 g = 0
                 for x in col:
                     g = gcd(g, abs(x))
@@ -267,7 +267,7 @@ class TestSmithDiagonal:
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 2), (1, 257), (257, 1)])
     def test_empty_and_zero_matrices(self, shape):
-        assert _thin_invariants(_thin_rows(IntMatrix.zeros(*shape))) == []
+        assert _thin_invariants(_thin_rows(zero_matrix(*shape))) == []
 
     def test_thin_shapes_never_call_snf(self, monkeypatch):
         monkeypatch.setattr(exactla, "snf", None)  # a call raises TypeError
@@ -282,7 +282,7 @@ class TestSmithDiagonal:
     def test_shapes_wider_than_two_both_ways_are_refused(self, reader, shape):
         rows, cols = shape
         with pytest.raises(ValueError, match=f"a {rows}x{cols} matrix"):
-            reader(IntMatrix.zeros(rows, cols))
+            reader(zero_matrix(rows, cols))
 
 
 class TestThinRank:
@@ -392,7 +392,7 @@ def test_the_two_column_path_equals_the_general_path_and_the_snf_kernel():
     def check(m):
         thin = exactla._two_column_kernel(m.entries)
         assert thin == exactla._echelon_kernel(m)  # the rationale prints the basis' first vector, so signs count
-        assert tuple(integer_kernel(m).columns()) == thin
+        assert tuple(columns(integer_kernel(m))) == thin
         assert all(x * u + y * v == 0 for x, y in m.entries for u, v in thin)
         reference = snf_kernel(m)
         assert reference.cols == len(thin)

@@ -8,7 +8,6 @@ from torusbundles import (
     TorusBundle,
     Trichotomy,
     betti,
-    conjugate_bundle,
     fixed_sublattice,
     h1_circle_bundle,
     h1_total_space,
@@ -19,6 +18,7 @@ from support import (
     IDENTITY,
     ROTATION,
     UPPER,
+    conjugate_bundle,
     random_arbitrary_monodromy,
     random_sl2z,
     random_valid_bundle,

@@ -18,10 +18,9 @@ from torusbundles import (
     e2_ranks,
     h1_total_space,
     is_symplectic,
-    relation_sublattice,
 )
 
-from support import random_valid_bundle
+from support import random_valid_bundle, relation_sublattice
 
 
 def _answers(b):

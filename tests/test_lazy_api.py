@@ -64,3 +64,33 @@ def test_every_name_the_benchmark_worker_imports_from_the_package_resolves():
     assert ("torusbundles", "integer_kernel") in imported
     missing = [f"{module}.{name}" for module, name in imported if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+# public names that no package module, benchmark op or acceptance test reads, each with the reason it stays
+UNREAD_PUBLIC_NAMES = {
+    "sw4_zero_gcd": "the O(g) degree-zero form that ROADMAP item 3 wires into sw4_zero_coset above a budget",
+}
+
+
+def test_every_public_name_is_read_by_the_package_the_benchmark_or_the_acceptance_suite():
+    # a name counts where it appears as a Name, an Attribute or an import alias, outside its own definition;
+    # a name only other tests read belongs in tests/support.py
+    root = Path(__file__).resolve().parent.parent
+    package = [p for p in (root / "src" / "torusbundles").glob("*.py") if p.name != "__init__.py"]
+    readers = (*package, root / "perfbench" / "worker.py", root / "tests" / "test_acceptance.py")
+    field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    reads = set()  # (name, file stem, enclosing top-level definition)
+    for path in readers:
+        for top in ast.parse(path.read_text()).body:
+            reads |= {
+                (getattr(node, field[type(node)]), path.stem, getattr(top, "name", None))
+                for node in ast.walk(top)
+                if type(node) in field
+            }
+
+    def is_read(name):
+        home = getattr(torusbundles, name).__module__.rpartition(".")[2]
+        return any(n == name and (stem, owner) != (home, name) for n, stem, owner in reads)
+
+    unread = {name for name in torusbundles.__all__ if not is_read(name)}
+    assert unread == set(UNREAD_PUBLIC_NAMES)

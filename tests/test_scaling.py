@@ -14,10 +14,9 @@ from torusbundles import (
     integer_kernel,
     is_symplectic,
     parse_bundle,
-    relation_sublattice,
 )
 
-from support import IDENTITY, UPPER, replace_everywhere, snf_kernel
+from support import IDENTITY, UPPER, conjugate, relation_sublattice, replace_everywhere, snf_kernel
 
 
 def _one_unipotent(g):
@@ -65,7 +64,7 @@ def test_sl2z_is_checked_at_the_boundary_only(monkeypatch, g):
 
 @pytest.mark.parametrize("g", [2, 50, 200])
 def test_bundle_is_checked_at_the_boundary_only(monkeypatch, g):
-    # bundle_from_dict checks each field once itself, SL2Z the 2g matrices, and builds the bundle unchecked;
+    # parse_bundle checks each field once itself, SL2Z the 2g matrices, and builds the bundle unchecked;
     # the flat twin reuses checked fields, where a checked twin re-tested all 2g matrices per is_symplectic
     b = _one_unipotent(g)
     text = json.dumps(b.to_dict())
@@ -117,7 +116,7 @@ def test_lattices_at_genus_1000_match_the_snf_kernel(monkeypatch):
     p = SL2Z(2, 1, 1, 1)
     powers = (UPPER, UPPER.inverse(), UPPER * UPPER, IDENTITY)
     # commuting conjugates of unipotent matrices: the surface relation holds and p*(1, 0) spans both lattices
-    b = TorusBundle(1000, tuple(powers[i % 4].conjugate(p) for i in range(2000)), (4, 2))
+    b = TorusBundle(1000, tuple(conjugate(powers[i % 4], p) for i in range(2000)), (4, 2))
     fixed, relation = fixed_sublattice(b), relation_sublattice(b)
     assert fixed.basis == relation.basis == ((2, 1),)
     replace_everywhere(monkeypatch, integer_kernel, snf_kernel)
