@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke checks that CI runs, and that run the same way from a source checkout.
 #
-#   ci/smoke.sh console   each subcommand once, and over-budget inputs that must exit 1 with a message
+#   ci/smoke.sh console   each subcommand once, a bundle whose output needs the widened digit limit, a stdout
+#                         closed early, and over-budget inputs that must exit 1 with a message
 #   ci/smoke.sh bench     5 s benchmark runs of both gated workloads and one traced run, each correct with 0 failed
 #
 # The command is $TORUSBUNDLES, word-split, so TORUSBUNDLES="python3 -m torusbundles.cli" runs the source
@@ -33,6 +34,15 @@ console() {
   for command in classify homology spectral; do  # each subcommand imports its own modules
     torusbundles "$command" tests/golden/bundles/principal.json
   done
+  for format in text json; do  # an invariant factor of 2L + 1 digits prints once the loader widens the limit
+    torusbundles homology tests/golden/bundles/huge_factor.json --format=$format > /dev/null
+  done
+  # a stdout closed early exits 1 with no traceback
+  torusbundles swpoly --genus 2000 --n 100000 --format=json 2> "$RUNNER_TEMP/pipe.txt" | head -c 1 > /dev/null
+  code=${PIPESTATUS[0]}
+  cat "$RUNNER_TEMP/pipe.txt"
+  test "$code" -eq 1
+  if grep -q Traceback "$RUNNER_TEMP/pipe.txt"; then exit 1; fi
   refused swpoly --genus 2 --n 1000000000000000000000000000000
   refused verify-parity --g 2..2 --mn 790..792
   refused sw0 --genus 100000 --m 1 --n 3

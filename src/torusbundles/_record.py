@@ -21,7 +21,7 @@ def require_genus(g: int) -> None:
 
 
 class Record:
-    """Immutable record whose fields are its class annotations, in order.
+    """Immutable record whose fields are its class annotations, in order, and its ``vars``: the CLI's JSON needs that.
 
     A class attribute beside an annotation is that field's default.  Fields are
     set with ``object.__setattr__``: writing ``__dict__`` slows later reads.

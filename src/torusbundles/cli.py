@@ -1,9 +1,10 @@
 """Command-line interface: one row of COMMANDS per subcommand.
 
 A row holds the name, help string and arguments, a payload builder and a text
-renderer.  --format=json prints the payload; the default text is rendered from
-it alone (the verify-parity header also echoes the raw --g and --mn strings).
-Exit codes: 0 success, 1 input error (any ValueError), 2 internal cross-check
+renderer.  A payload holds the library's records as they are; json.dumps turns
+them into JSON for --format=json, and the text is rendered from the payload alone
+(the verify-parity header also echoes the raw --g and --mn strings).  Exit codes:
+0 success, 1 input error (any ValueError) or closed stdout, 2 internal cross-check
 inconsistency, which for sw0 and verify-parity is read off the payload.
 Each builder imports the modules it calls, so a subcommand compiles only those.
 """
@@ -11,11 +12,12 @@ Each builder imports the modules it calls, so a subcommand compiles only those.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from ._record import InternalInconsistencyError, Record
+from ._record import InternalInconsistencyError
 
 if TYPE_CHECKING:
     from .bundle import TorusBundle
@@ -59,7 +61,8 @@ def _parse_range(text: str, flag: str) -> range:
     return range(lo, hi + 1)
 
 
-def _load_bundle(path: str) -> TorusBundle:
+def _load_bundle(path: str, max_genus: int | None = None) -> TorusBundle:
+    """Parse a bundle file, refusing a genus above max_genus before any Fox matrix is built."""
     from .bundle import ParseError, parse_bundle
 
     try:
@@ -67,34 +70,25 @@ def _load_bundle(path: str) -> TorusBundle:
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read bundle file {path}: {exc}") from None
     try:
-        return parse_bundle(text)
+        bundle = parse_bundle(text)
     except ParseError as exc:
         raise ValueError(f"bundle file {path}: {exc}") from None
-
-
-def _load_classifiable(path: str) -> TorusBundle:
-    """_load_bundle, refusing a genus above MAX_FOX_GENUS before any Fox matrix is built."""
-    bundle = _load_bundle(path)
-    if bundle.genus > MAX_FOX_GENUS:
-        raise ValueError(f"genus {bundle.genus} is above the {MAX_FOX_GENUS} that classify and spectral take")
+    # The bundle parsed under the digit limit L, and d1*d2 divides each 2x2 minor of H1's relation matrix.  One is
+    # 2 - tr(A) for each monodromy matrix A, of at most L + 1 digits; if every trace is 2, every entry has at most L
+    # digits and every minor at most 2L + 1.  So an invariant factor has at most 2L + 1; 0 stays 0.  run restores L.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit and 2 * limit + 1)
+    if max_genus is not None and bundle.genus > max_genus:
+        raise ValueError(f"genus {bundle.genus} is above the {max_genus} that classify and spectral take")
     return bundle
-
-
-def _plain(value: Any) -> Any:
-    """A package result as JSON data: records become dicts and tuples lists, recursively."""
-    if isinstance(value, Record):
-        return {f: _plain(getattr(value, f)) for f in value._fields}
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value
 
 
 def _classify(args: argparse.Namespace) -> dict[str, Any]:
     from .classify import is_symplectic
 
-    bundle = _load_classifiable(args.bundle_file)
+    bundle = _load_bundle(args.bundle_file, MAX_FOX_GENUS)
     report = is_symplectic(bundle)
-    return {"genus": bundle.genus, "euler": list(bundle.euler), "principal": bundle.is_principal, **_plain(report)}
+    return {"genus": bundle.genus, "euler": bundle.euler, "principal": bundle.is_principal, **vars(report)}
 
 
 def _classify_text(p: dict[str, Any], args: argparse.Namespace) -> Iterator[str]:
@@ -105,25 +99,24 @@ def _classify_text(p: dict[str, Any], args: argparse.Namespace) -> Iterator[str]
     yield f"b2: {p['b2']}"
     yield f"free circle action preserving fibers: {_YES[p['has_circle_action']]}"
     yield f"fiber class nonzero in H_2(E; R): {_YES[p['fiber_class_nonzero']]}"
-    yield f"symplectic: {_YES[p['symplectic']]} ({p['rationale'][0]['rule']})"
+    yield f"symplectic: {_YES[p['symplectic']]} ({p['rationale'][0].rule})"
     yield "rationale:"
-    yield from (f"  {r['rule']}: {r['statement']}" for r in p["rationale"])
+    yield from (f"  {r.rule}: {r.statement}" for r in p["rationale"])
     yield "cross-checks:"
-    yield f"  betti-oracle: {_AGREE[p['cross_checks']['betti_oracle']]}"
-    yield f"  spectral-oracle: {_AGREE[p['cross_checks']['spectral_oracle']]}"
+    yield f"  betti-oracle: {_AGREE[p['cross_checks'].betti_oracle]}"
+    yield f"  spectral-oracle: {_AGREE[p['cross_checks'].spectral_oracle]}"
 
 
 def _homology(args: argparse.Namespace) -> dict[str, Any]:
     from .homology import h1_total_space
 
     group = h1_total_space(_load_bundle(args.bundle_file))
-    # "h1" holds the group itself: run turns it into text for both formats, with the digit limit raised
-    return {**_plain(group), "h1": group, "b1": group.free_rank, "b2": 2 * group.free_rank - 2}
+    return {**vars(group), "h1": str(group), "b1": group.free_rank, "b2": 2 * group.free_rank - 2}
 
 
 def _homology_text(p: dict[str, Any], args: argparse.Namespace) -> Iterator[str]:
     yield f"H1(E) = {p['h1']}"
-    yield f"invariant factors: {p['invariant_factors']}"
+    yield f"invariant factors: {list(p['invariant_factors'])}"
     yield f"b1 = {p['b1']}"
     yield f"b2 = {p['b2']}"
 
@@ -132,11 +125,11 @@ def _spectral(args: argparse.Namespace) -> dict[str, Any]:
     from .homology import betti
     from .spectral import e2_ranks
 
-    bundle = _load_classifiable(args.bundle_file)
+    bundle = _load_bundle(args.bundle_file, MAX_FOX_GENUS)
     ranks = e2_ranks(bundle.genus, bundle.monodromy)
     _, b2 = betti(bundle)
     return {
-        **_plain(ranks),
+        **vars(ranks),
         "fiber_class_nonzero": ranks.fiber_class_nonzero(b2),
         "surface_relation_holds": bundle.surface_relation_holds(),
     }
@@ -220,7 +213,7 @@ def _verify_parity(args: argparse.Namespace) -> dict[str, Any]:
             f"the grid --g {args.g} --mn {args.mn} scores cells * (max(|m|, |n|)^3 + g^2) above {MAX_PARITY_WORK}; "
             "narrow --mn or --g"
         )
-    return _plain(parity_sweep(g_range, mn_range, mn_range))
+    return vars(parity_sweep(g_range, mn_range, mn_range))
 
 
 def _verify_parity_text(p: dict[str, Any], args: argparse.Namespace) -> Iterator[str]:
@@ -229,7 +222,7 @@ def _verify_parity_text(p: dict[str, Any], args: argparse.Namespace) -> Iterator
     yield f"cells skipped (m or n = 0): {p['skipped']}"
     yield f"all values even: {_YES[p['all_even']]}"
     yield f"counterexamples: {len(p['counterexamples'])}"
-    yield from (f"  g={c['g']} m={c['m']} n={c['n']}: {c['kind']}: {c['detail']}" for c in p["counterexamples"])
+    yield from (f"  g={c.g} m={c.m} n={c.n}: {c.kind}: {c.detail}" for c in p["counterexamples"])
 
 
 # argparse keyword arguments by flag; the --g and --mn ranges stay strings until the builder parses them
@@ -288,16 +281,12 @@ def run(argv: Sequence[str]) -> int:
     try:
         args = _build_parser().parse_args(_merge_range_values(argv))
         payload = args.build(args)
-        # The bundle parsed under the digit limit L, and d1*d2 divides each 2x2 minor of H1's relation matrix.  One
-        # is 2 - tr(A) for each monodromy matrix A, of at most L + 1 digits; if every trace is 2, every entry has
-        # at most L digits and every minor at most 2L + 1.  So an invariant factor has at most 2L + 1; 0 stays 0.
-        sys.set_int_max_str_digits(limit and 2 * limit + 1)
         if args.format == "json":
             import json  # text output, the default, never needs it
 
-            print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+            print(json.dumps(payload, indent=2, sort_keys=True, default=vars), flush=True)  # a record by its fields
         else:
-            print("\n".join(args.text(payload, args)))
+            print("\n".join(args.text(payload, args)), flush=True)  # a closed stdout raises in main's reach
         if payload.get("routes_agree") is False:  # sw0's closed route contradicts its coset route
             print("internal inconsistency: evaluation routes disagree", file=sys.stderr)
             return 2
@@ -311,11 +300,15 @@ def run(argv: Sequence[str]) -> int:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 2
     finally:
-        sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)  # _load_bundle widened it for a bundle's output
 
 
 def main() -> int:
-    return run(sys.argv[1:])
+    try:
+        return run(sys.argv[1:])
+    except BrokenPipeError:  # stdout closed early, as by `| head`; quiet the flush at exit as well
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

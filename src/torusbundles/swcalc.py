@@ -121,7 +121,7 @@ def cyclic_subgroup(m: int, n: int) -> ResidueSet:
 
 
 # The largest genus the SW routes take: every value must print under Python's default 4,300-digit limit, which the
-# CLI still holds while it renders swpoly.  An sw0 value is at most MAX_SUBGROUP_ORDER * 2^(2g-2), 4,217 digits at
+# CLI holds while it renders every SW command.  An sw0 value is at most MAX_SUBGROUP_ORDER * 2^(2g-2), 4,217 digits at
 # g = 7,000 (past 4,300 from g = 7,139); there swpoly and sw0 at n = 3 took 0.2 s on a 2-vCPU Xeon, Python 3.11.7.
 MAX_SW_GENUS = 7000
 

@@ -21,6 +21,8 @@ TRIVIAL_DOC = {
     "euler": [1, 1],
 }
 
+_PRINCIPAL = str(Path(__file__).parent / "golden" / "bundles" / "principal.json")
+
 ROTATION_DOC = {
     "genus": 2,
     "monodromy": [[[0, -1], [1, 0]]] + [[[1, 0], [0, 1]]] * 3,
@@ -286,6 +288,63 @@ class TestInputErrors:
 class TestDigitLimit:
     HUGE_FACTOR = Path(__file__).parent / "golden" / "bundles" / "huge_factor.json"
 
+    @pytest.fixture
+    def digit_limit(self):
+        """Set the interpreter's digit limit for one test; the limit before it comes back afterwards."""
+        before = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(before)
+
+    @pytest.mark.parametrize(
+        "argv, widened",
+        [
+            (["classify", _PRINCIPAL], True),
+            (["homology", _PRINCIPAL], True),
+            (["spectral", _PRINCIPAL], True),
+            (["swpoly", "--genus", "2", "--n", "3"], False),
+            (["sw0", "--genus", "2", "--m", "3", "--n", "3"], False),
+            (["verify-parity", "--g", "2..2", "--mn", "1..2"], False),
+        ],
+        ids=["classify", "homology", "spectral", "swpoly", "sw0", "verify-parity"],
+    )
+    def test_a_bundle_renders_under_2L_plus_1_and_the_sw_commands_under_L(
+        self, argv, widened, digit_limit, monkeypatch, capsys
+    ):
+        seen = []
+
+        def spy(text):
+            def render(p, args):
+                seen.append(sys.get_int_max_str_digits())
+                return text(p, args)
+
+            return render
+
+        rows = tuple((*row[:4], spy(row[4])) for row in torusbundles.cli.COMMANDS)
+        monkeypatch.setattr(torusbundles.cli, "COMMANDS", rows)
+        digit_limit(4300)
+        assert run(argv) == 0
+        assert seen == [2 * 4300 + 1 if widened else 4300]
+        assert sys.get_int_max_str_digits() == 4300
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_an_unlimited_digit_limit_stays_unlimited(self, fmt, digit_limit, capsys):
+        digit_limit(0)
+        assert run(["homology", str(self.HUGE_FACTOR), f"--format={fmt}"]) == 0
+        assert sys.get_int_max_str_digits() == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert max(map(len, re.findall(r"\d+", captured.out))) > 4300
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_an_sw_value_over_a_lowered_limit_exits_1(self, fmt, digit_limit, capsys):
+        """sw0 prints under the interpreter's limit, as swpoly does: a 716-digit value refuses under 640."""
+        digit_limit(640)
+        assert run(["sw0", "--genus", "1500", "--m", "3", "--n", "3", f"--format={fmt}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Exceeds the limit (640 digits)")
+        assert sys.get_int_max_str_digits() == 640
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -326,7 +385,6 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
 
 # text output needs no json, and the SW subcommands parse no bundle file
 _SW_LEAVES_OUT = {"bundle", "exactla", "classify", "homology", "spectral", "json"}
-_PRINCIPAL = str(Path(__file__).parent / "golden" / "bundles" / "principal.json")
 
 
 @pytest.mark.parametrize(
@@ -351,6 +409,24 @@ def test_a_subcommand_loads_only_the_modules_it_calls(argv, home, left_out):
     loaded = set(fresh_python(code).split())
     assert home in loaded
     assert not loaded & left_out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_closed_stdout_exits_1_without_a_traceback(fmt):
+    """The reader closes the pipe after one byte of an output far larger than the pipe buffer, as `| head` does."""
+    src = str(Path(torusbundles.__file__).resolve().parents[1])
+    argv = ["swpoly", "--genus", "2000", "--n", "100000", f"--format={fmt}"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "torusbundles.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.read(1)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""  # no traceback, nor the "Exception ignored" note of a failed flush at exit
 
 
 @pytest.mark.slow
