@@ -50,6 +50,10 @@ console() {
     > "$RUNNER_TEMP/huge_genus.json"  # above cli.MAX_FOX_GENUS = 1000
   refused classify "$RUNNER_TEMP/huge_genus.json"
   refused spectral "$RUNNER_TEMP/huge_genus.json"
+  echo '{"genus": 2, "monodromy": [[[1, 0], [0, 1]], [[1, 0], [0]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]], "euler": [0, 0]}' \
+    > "$RUNNER_TEMP/bad_shape.json"  # monodromy[1]'s second row has one entry
+  refused classify "$RUNNER_TEMP/bad_shape.json"
+  grep -q 'monodromy\[1\] must be a 2x2 array \[\[a,b\],\[c,d\]\]' "$RUNNER_TEMP/refused.txt"
 }
 
 bench() {

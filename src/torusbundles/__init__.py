@@ -28,7 +28,7 @@ _HOMES = {
     ),
     "exactla": ("AbelianGroup", "IntMatrix", "cokernel_structure", "integer_kernel", "rank", "snf", "xgcd"),
     "homology": ("NotFlatError", "Trichotomy", "betti", "h1_circle_bundle", "h1_total_space", "trichotomy"),
-    "spectral": ("E2Ranks", "e2_ranks", "fiber_class_via_spectral", "fox_boundary_matrices", "surface_relator"),
+    "spectral": ("E2Ranks", "e2_ranks", "fiber_class_via_spectral", "fox_boundary_matrices"),
     "swcalc": (
         "ResidueSet",
         "SweepCounterexample",

@@ -37,10 +37,12 @@ class SL2Z(Record):
     d: int
 
     def __init__(self, a: int, b: int, c: int, d: int):
-        # the checked boundary for matrices from outside; the package derives the rest with _trusted
-        for x in (a, b, c, d):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise ValidationError(f"matrix entry {x!r} is not an integer")
+        # the checked boundary for matrices from outside; the package derives the rest unchecked.  Exact ints, what
+        # JSON gives, pass one type test each; the loop refuses bool and names the first non-integer entry
+        if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int):
+            for x in (a, b, c, d):
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise ValidationError(f"matrix entry {x!r} is not an integer")
         if a * d - b * c != 1:
             det = _show(a * d - b * c)
             raise ValidationError(f"matrix [[{a},{b}],[{c},{d}]] has determinant {det}, expected 1")
@@ -62,14 +64,17 @@ class SL2Z(Record):
         return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
 
     def __mul__(self, other: "SL2Z") -> "SL2Z":
-        if not isinstance(other, SL2Z):
+        if other.__class__ is not SL2Z and not isinstance(other, SL2Z):
             return NotImplemented
-        return SL2Z._trusted(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+        # built here rather than through _trusted: the Fox walk makes 8g^2 of these per classification
+        m = object.__new__(SL2Z)
+        m.__dict__.update(
+            a=self.a * other.a + self.b * other.c,
+            b=self.a * other.b + self.b * other.d,
+            c=self.c * other.a + self.d * other.c,
+            d=self.c * other.b + self.d * other.d,
         )
+        return m
 
     def inverse(self) -> "SL2Z":
         return SL2Z._trusted(self.d, -self.b, -self.c, self.a)
@@ -219,10 +224,13 @@ def parse_bundle(text: str) -> TorusBundle:
         raise ParseError("field monodromy must be an array of 2x2 matrices")
     matrices = []
     for i, entry in enumerate(raw_monodromy):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or any(not isinstance(row, list) or len(row) != 2 for row in entry)
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[0], list)
+            and len(entry[0]) == 2
+            and isinstance(entry[1], list)
+            and len(entry[1]) == 2
         ):
             raise ParseError(f"monodromy[{i}] must be a 2x2 array [[a,b],[c,d]]")
         (a, b), (c, d) = entry

@@ -71,11 +71,13 @@ _STATEMENTS = {
         "circle action with orbit class z = {z}; the Euler class {euler} is not a "
         "multiple of z, the first Betti number drops and the fiber class dies"
     ),
-    "symplectic-iff-fiber-class": (
-        "a torus bundle over a genus >= 2 surface is symplectic exactly when the fiber "
-        "class is nonzero in real second homology"
-    ),
 }
+# the rationale's second entry, the same for every bundle
+_SYMPLECTIC_IFF_FIBER_CLASS = RationaleEntry(
+    "symplectic-iff-fiber-class",
+    "a torus bundle over a genus >= 2 surface is symplectic exactly when the fiber "
+    "class is nonzero in real second homology",
+)
 
 
 def _rule(b: TorusBundle, fixed: Lattice) -> tuple[str, bool]:
@@ -109,9 +111,7 @@ def is_symplectic(b: TorusBundle) -> ClassificationReport:
                 f"{name} oracle ({value}) disagrees with rule verdict ({verdict}) on {b.to_dict()}"
             )
 
-    rationale = tuple(
-        RationaleEntry(r, _STATEMENTS[r].format(z=fixed.basis[0] if fixed.basis else None, euler=b.euler))
-        for r in (rule, "symplectic-iff-fiber-class")
-    )
+    statement = _STATEMENTS[rule].format(z=fixed.basis[0] if fixed.basis else None, euler=b.euler)
+    rationale = (RationaleEntry(rule, statement), _SYMPLECTIC_IFF_FIBER_CLASS)
     cross_checks = CrossChecks(True, True if "spectral" in oracles else None)  # any disagreement raised above
     return ClassificationReport(b1, b2, fixed.rank >= 1, verdict, verdict, rationale, cross_checks)

@@ -47,39 +47,34 @@ class E2Ranks(Record):
         return b2 == 2 + self.rank_e11
 
 
-def surface_relator(g: int) -> tuple[int, ...]:
-    """Relator word over signed 1-based letters: generator j is letter j+1, its inverse -(j+1)."""
-    # the commutator [a_i, b_i] = a b a^-1 b^-1 with a = 2i + 1, b = 2i + 2
-    return tuple(x for a in range(1, 2 * g, 2) for x in (a, a + 1, -a, -a - 1))
+# every Fox block's walk starts from this one identity
+_IDENTITY = SL2Z.identity()
 
 
-def _fox_block(word: Sequence[int], j: int, mats: Sequence[SL2Z], invs: Sequence[SL2Z]) -> tuple[tuple[int, int], ...]:
+def _fox_block(j: int, handles: Sequence[tuple[SL2Z, SL2Z, SL2Z, SL2Z]]) -> tuple[tuple[int, int], ...]:
     """Coefficient block of the relator boundary at generator j.
 
     Accumulates the Fox derivative d(word)/dx_j with each group element w
     contributing through rho(w)^-1, sign-normalized so unipotent input
-    reproduces the difference block A - I.  invs holds the inverses of mats,
-    computed once by the caller rather than at every positive letter.
+    reproduces the difference block A - I.  The walk goes handle by handle:
+    handle i is the commutator x y x^-1 y^-1 with x = a_i and y = b_i, given
+    as (rho(x), rho(y), rho(x)^-1, rho(y)^-1), the inverses computed once by
+    the caller.  Each handle left-multiplies the prefix rho(w)^-1 by
+    rho(x)^-1, rho(y)^-1, rho(x) and rho(y) in turn, four products per handle
+    for every generator.  At j's own handle the block takes the prefix before
+    the letter x_j with a minus sign and the prefix after its inverse with a
+    plus sign.
     """
-    a = b = c = d = 0
-    prefix_inv = SL2Z.identity()
-    for letter in word:
-        idx = abs(letter) - 1
-        if letter > 0:
-            if idx == j:
-                a -= prefix_inv.a
-                b -= prefix_inv.b
-                c -= prefix_inv.c
-                d -= prefix_inv.d
-            prefix_inv = invs[idx] * prefix_inv
-        else:
-            prefix_inv = mats[idx] * prefix_inv
-            if idx == j:
-                a += prefix_inv.a
-                b += prefix_inv.b
-                c += prefix_inv.c
-                d += prefix_inv.d
-    return (a, b), (c, d)
+    own, second = divmod(j, 2)  # j's handle, and whether j is its b
+    p = _IDENTITY
+    for i, (x, y, x_inv, y_inv) in enumerate(handles):
+        after_x = x_inv * p
+        after_x_inv = x * (y_inv * after_x)
+        after_y_inv = y * after_x_inv
+        if i == own:
+            minus, plus = (after_x, after_y_inv) if second else (p, after_x_inv)
+        p = after_y_inv
+    return (plus.a - minus.a, plus.b - minus.b), (plus.c - minus.c, plus.d - minus.d)
 
 
 def fox_boundary_matrices(g: int, monodromy: Sequence[SL2Z]) -> tuple[IntMatrix, IntMatrix]:
@@ -91,13 +86,13 @@ def fox_boundary_matrices(g: int, monodromy: Sequence[SL2Z]) -> tuple[IntMatrix,
     whenever the monodromy satisfies the surface relation.
     """
     mats = require_monodromy(g, monodromy)  # the Fox matrices are built unchecked from their entries
-    relator = surface_relator(g)
     invs = [m.inverse() for m in mats]
     d1 = (
         tuple(x for inv in invs for x in (1 - inv.a, -inv.b)),
         tuple(x for inv in invs for x in (-inv.c, 1 - inv.d)),
     )
-    d2 = tuple(row for j in range(2 * g) for row in _fox_block(relator, j, mats, invs))
+    handles = tuple(zip(mats[::2], mats[1::2], invs[::2], invs[1::2]))
+    d2 = tuple(row for j in range(2 * g) for row in _fox_block(j, handles))
     return IntMatrix._trusted(d2, 2), IntMatrix._trusted(d1, 4 * g)
 
 

@@ -55,6 +55,21 @@ class TestSL2Z:
     def test_apply(self):
         assert apply(UPPER, (0, 1)) == (1, 1)
 
+    def test_checked_constructor_accepts_an_int_subclass(self):
+        class I(int):
+            pass
+
+        m = SL2Z(I(2), I(1), I(1), I(1))
+        assert (m.a, m.b, m.c, m.d) == (2, 1, 1, 1)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_checked_constructor_refuses_bool(self, k):
+        entries = [1, 0, 0, 1]
+        entries[k] = True
+        with pytest.raises(ValidationError) as info:
+            SL2Z(*entries)
+        assert str(info.value) == "matrix entry True is not an integer"
+
     def test_product_with_a_non_sl2z_is_a_type_error(self):
         class FloatEntries:
             a, b, c, d = 1.0, 0.5, 0.0, 1.0
@@ -189,6 +204,31 @@ class TestParsing:
     def test_messages_survive_values_too_long_to_print(self, doc, field):
         with pytest.raises(ValidationError, match=field):
             parse_bundle(doc)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            3,
+            "ab",
+            {"a": 1, "b": 2},
+            [[1, 0]],
+            [[1, 0], [0, 1], [0, 0]],
+            [5, [0, 1]],
+            [[1, 0], 5],
+            ["ab", [0, 1]],
+            [[1, 0], "ab"],
+            [[1], [0, 1]],
+            [[1, 0], [0]],
+            [[1, 0, 0], [0, 1]],
+            [[1, 0], [0, 1, 0]],
+        ],
+    )
+    def test_a_matrix_of_the_wrong_shape_is_named(self, matrix):
+        identity = [[1, 0], [0, 1]]
+        text = json.dumps({"genus": 2, "monodromy": [identity, matrix, identity, identity], "euler": [0, 0]})
+        with pytest.raises(ParseError) as info:
+            parse_bundle(text)
+        assert str(info.value) == "monodromy[1] must be a 2x2 array [[a,b],[c,d]]"
 
     def test_non_integer_entry_is_parse_error(self):
         text = json.dumps(

@@ -14,7 +14,6 @@ from torusbundles import (
     fox_boundary_matrices,
     integer_kernel,
     rank,
-    surface_relator,
 )
 from torusbundles import IntMatrix, cokernel_structure
 
@@ -35,19 +34,6 @@ from support import (
 
 def bundle(monodromy, euler=(0, 0), genus=2):
     return TorusBundle(genus, tuple(monodromy), euler)
-
-
-class TestRelator:
-    def test_word_shape(self):
-        word = surface_relator(2)
-        assert word == (1, 2, -1, -2, 3, 4, -3, -4)
-
-    def test_zero_exponent_sums(self):
-        for g in (2, 3, 5):
-            word = surface_relator(g)
-            assert len(word) == 4 * g
-            for j in range(1, 2 * g + 1):
-                assert sum(1 if x == j else -1 if x == -j else 0 for x in word) == 0
 
 
 class TestBoundaryMatrices:
