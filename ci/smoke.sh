@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Smoke checks that CI runs, and that run the same way from a source checkout.
 #
-#   ci/smoke.sh console   each subcommand once, a bundle whose output needs the widened digit limit, a stdout
-#                         closed early, and over-budget inputs that must exit 1 with a message
+#   ci/smoke.sh console   each subcommand once, the largest genus the SW and Fox budgets admit, a bundle whose output
+#                         needs the widened digit limit, a stdout closed early, and over-budget inputs that must
+#                         exit 1 with a message
 #   ci/smoke.sh bench     5 s benchmark runs of both gated workloads and one traced run, each correct with 0 failed
 #
 # The command is $TORUSBUNDLES, word-split, so TORUSBUNDLES="python3 -m torusbundles.cli" runs the source
@@ -48,6 +49,9 @@ console() {
   refused sw0 --genus 100000 --m 1 --n 3
   python -c "import json; print(json.dumps({'genus': 1001, 'monodromy': [[[1, 0], [0, 1]]] * 2002, 'euler': [2, 3]}))" \
     > "$RUNNER_TEMP/huge_genus.json"  # above cli.MAX_FOX_GENUS = 1000
+  python -c "import json; print(json.dumps({'genus': 1000, 'monodromy': [[[1, 1], [0, 1]]] + [[[1, 0], [0, 1]]] * 1999, 'euler': [3, 0]}))" \
+    > "$RUNNER_TEMP/max_genus.json"  # at cli.MAX_FOX_GENUS = 1000, one unipotent generator
+  torusbundles classify "$RUNNER_TEMP/max_genus.json" > /dev/null  # the largest genus the Fox budget admits answers
   refused classify "$RUNNER_TEMP/huge_genus.json"
   refused spectral "$RUNNER_TEMP/huge_genus.json"
   echo '{"genus": 2, "monodromy": [[[1, 0], [0, 1]], [[1, 0], [0]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]], "euler": [0, 0]}' \

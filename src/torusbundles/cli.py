@@ -35,8 +35,9 @@ MAX_LISTED_MODULUS = 10**6
 # took 0.09 s; g 2..1442 with m = n = 1 scores 3.0e9 and took 3.4-4.0 s; g 2..2 with m, n in 790..792 scores 4.5e9 and
 # took 14.6-14.7 s in process.
 MAX_PARITY_WORK = 3 * 10**9
-# classify and spectral walk the Fox relator once per generator, quadratic in the genus: is_symplectic took 0.25-0.36 s
-# at g = 200 and 6.7 s at g = 1,000 on a 2-vCPU Xeon host with Python 3.11.7.  homology is linear, any genus goes.
+# classify and spectral walk the Fox relator once per generator, quadratic in the genus: is_symplectic took 0.15-0.16 s
+# at g = 200 and 4.1-4.5 s at g = 1,000, and classify 4.2-4.9 s as a process at g = 1,000 (one unipotent generator),
+# on a 2-vCPU Xeon host with Python 3.11.7.  homology is linear, any genus goes.
 MAX_FOX_GENUS = 1000
 # a cross-check flag of the classification; None means the spectral oracle did not apply
 _AGREE = {True: "agree", False: "disagree", None: "skipped (monodromy violates the surface relation)"}

@@ -51,25 +51,24 @@ class E2Ranks(Record):
 _IDENTITY = SL2Z.identity()
 
 
-def _fox_block(j: int, handles: Sequence[tuple[SL2Z, SL2Z, SL2Z, SL2Z]]) -> tuple[tuple[int, int], ...]:
+def _fox_block(j: int, handles: Sequence[tuple[SL2Z, SL2Z, SL2Z]]) -> tuple[tuple[int, int], ...]:
     """Coefficient block of the relator boundary at generator j.
 
     Accumulates the Fox derivative d(word)/dx_j with each group element w
     contributing through rho(w)^-1, sign-normalized so unipotent input
     reproduces the difference block A - I.  The walk goes handle by handle:
     handle i is the commutator x y x^-1 y^-1 with x = a_i and y = b_i, given
-    as (rho(x), rho(y), rho(x)^-1, rho(y)^-1), the inverses computed once by
-    the caller.  Each handle left-multiplies the prefix rho(w)^-1 by
-    rho(x)^-1, rho(y)^-1, rho(x) and rho(y) in turn, four products per handle
-    for every generator.  At j's own handle the block takes the prefix before
-    the letter x_j with a minus sign and the prefix after its inverse with a
-    plus sign.
+    by the caller as (rho(x)^-1, rho(x) rho(y)^-1, rho(y)).  Three products
+    per handle left-multiply the prefix p = rho(w)^-1 into the prefixes after
+    x, after x^-1 and after y^-1.  At j's own handle the block takes the
+    prefix before x_j with a minus sign and the one after x_j^-1 with a plus
+    sign, so no block reads the prefix after y, rho(y)^-1 rho(x)^-1 p.
     """
     own, second = divmod(j, 2)  # j's handle, and whether j is its b
     p = _IDENTITY
-    for i, (x, y, x_inv, y_inv) in enumerate(handles):
+    for i, (x_inv, x_y_inv, y) in enumerate(handles):
         after_x = x_inv * p
-        after_x_inv = x * (y_inv * after_x)
+        after_x_inv = x_y_inv * after_x
         after_y_inv = y * after_x_inv
         if i == own:
             minus, plus = (after_x, after_y_inv) if second else (p, after_x_inv)
@@ -91,7 +90,7 @@ def fox_boundary_matrices(g: int, monodromy: Sequence[SL2Z]) -> tuple[IntMatrix,
         tuple(x for inv in invs for x in (1 - inv.a, -inv.b)),
         tuple(x for inv in invs for x in (-inv.c, 1 - inv.d)),
     )
-    handles = tuple(zip(mats[::2], mats[1::2], invs[::2], invs[1::2]))
+    handles = tuple((x_inv, x * y_inv, y) for x, y, x_inv, y_inv in zip(mats[::2], mats[1::2], invs[::2], invs[1::2]))
     d2 = tuple(row for j in range(2 * g) for row in _fox_block(j, handles))
     return IntMatrix._trusted(d2, 2), IntMatrix._trusted(d1, 4 * g)
 

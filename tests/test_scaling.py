@@ -107,8 +107,10 @@ def test_fox_walk_inverts_each_matrix_once(monkeypatch, g):
     products.clear()
     is_symplectic(b)
     assert len(inverses) == 2 * g  # surface_relation_holds works on plain integers, so all come from the build
-    # still quadratic: 2g walks of 4g letters; bringing the products to linear is the one-walk Fox walk's job
-    assert len(products) == 8 * g * g
+    # still quadratic: 2g walks of g handles, three products per handle (the prefix after each handle's y is
+    # never read), plus g products that build each handle's rho(x) rho(y)^-1 once per build; four products per
+    # handle made 8g^2.  Bringing the products to linear is the one-walk Fox walk's job
+    assert len(products) == 6 * g * g + g
 
 
 @pytest.mark.slow

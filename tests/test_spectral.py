@@ -194,3 +194,16 @@ def test_fox_matrices_match_the_reference_walk(g, valid, seed, a, c):
     monodromy = tuple(conjugate(m, p) for m in draw(random.Random(seed), g))
     d2, d1 = fox_boundary_matrices(g, monodromy)
     assert (d2.entries, d1.entries) == reference_fox_matrices(g, monodromy)
+
+
+@pytest.mark.parametrize("valid", [True, False])
+@pytest.mark.parametrize("g", [16, 32])
+def test_fox_matrices_match_the_reference_walk_above_genus_6(g, valid):
+    """The hypothesis test above draws g <= 6; seeded draws hold the walk to the reference at g = 16 and 32,
+    plain and conjugated by a matrix with entries near 10**50."""
+    draw = random_valid_monodromy if valid else random_arbitrary_monodromy
+    rng = random.Random(1000 * g + valid)
+    for p in (IDENTITY, IDENTITY, sl2z_with_column(10**50, 10**50 - 1)):
+        monodromy = tuple(conjugate(m, p) for m in draw(rng, g))
+        d2, d1 = fox_boundary_matrices(g, monodromy)
+        assert (d2.entries, d1.entries) == reference_fox_matrices(g, monodromy)
