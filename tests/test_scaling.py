@@ -108,8 +108,8 @@ def test_fox_walk_inverts_each_matrix_once(monkeypatch, g):
     is_symplectic(b)
     assert len(inverses) == 2 * g  # surface_relation_holds works on plain integers, so all come from the build
     # still quadratic: 2g walks of g handles, three products per handle (the prefix after each handle's y is
-    # never read), plus g products that build each handle's rho(x) rho(y)^-1 once per build; four products per
-    # handle made 8g^2.  Bringing the products to linear is the one-walk Fox walk's job
+    # never read), plus g products that build each handle's rho(x) rho(y)^-1 once per build.  Bringing the
+    # products to linear is the one-walk Fox walk's job
     assert len(products) == 6 * g * g + g
 
 
