@@ -51,7 +51,9 @@ console() {
     > "$RUNNER_TEMP/huge_genus.json"  # above cli.MAX_FOX_GENUS = 1000
   python -c "import json; print(json.dumps({'genus': 1000, 'monodromy': [[[1, 1], [0, 1]]] + [[[1, 0], [0, 1]]] * 1999, 'euler': [3, 0]}))" \
     > "$RUNNER_TEMP/max_genus.json"  # at cli.MAX_FOX_GENUS = 1000, one unipotent generator
-  torusbundles classify "$RUNNER_TEMP/max_genus.json" > /dev/null  # the largest genus the Fox budget admits answers
+  for command in classify spectral; do  # both walk the Fox relator at the largest genus its budget admits
+    torusbundles "$command" "$RUNNER_TEMP/max_genus.json" > /dev/null
+  done
   refused classify "$RUNNER_TEMP/huge_genus.json"
   refused spectral "$RUNNER_TEMP/huge_genus.json"
   echo '{"genus": 2, "monodromy": [[[1, 0], [0, 1]], [[1, 0], [0]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]], "euler": [0, 0]}' \

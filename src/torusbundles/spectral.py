@@ -58,20 +58,20 @@ def _fox_block(j: int, handles: Sequence[tuple[SL2Z, SL2Z, SL2Z]]) -> tuple[tupl
     contributing through rho(w)^-1, sign-normalized so unipotent input
     reproduces the difference block A - I.  The walk goes handle by handle:
     handle i is the commutator x y x^-1 y^-1 with x = a_i and y = b_i, given
-    by the caller as (rho(x)^-1, rho(x) rho(y)^-1, rho(y)).  Three products
-    per handle left-multiply the prefix p = rho(w)^-1 into the prefixes after
-    x, after x^-1 and after y^-1.  At j's own handle the block takes the
-    prefix before x_j with a minus sign and the one after x_j^-1 with a plus
-    sign, so no block reads the prefix after y, rho(y)^-1 rho(x)^-1 p.
+    by the caller as (rho(x)^-1, K, rho(y)), K = rho(x) rho(y)^-1 rho(x)^-1.
+    Two products per handle left-multiply the prefix p = rho(w)^-1: K p is
+    the prefix after x^-1, and rho(y) K p the one after y^-1.  At j's own
+    handle the block is the prefix after x_j^-1 less the one before x_j, so
+    an a-block reads (K - I) p and a b-block (rho(y) K - rho(x)^-1) p: only a
+    b-block makes the prefix after x, and no block the one after y.
     """
     own, second = divmod(j, 2)  # j's handle, and whether j is its b
     p = _IDENTITY
-    for i, (x_inv, x_y_inv, y) in enumerate(handles):
-        after_x = x_inv * p
-        after_x_inv = x_y_inv * after_x
+    for i, (x_inv, k, y) in enumerate(handles):
+        after_x_inv = k * p
         after_y_inv = y * after_x_inv
         if i == own:
-            minus, plus = (after_x, after_y_inv) if second else (p, after_x_inv)
+            minus, plus = (x_inv * p, after_y_inv) if second else (p, after_x_inv)
         p = after_y_inv
     return (plus.a - minus.a, plus.b - minus.b), (plus.c - minus.c, plus.d - minus.d)
 
@@ -90,7 +90,7 @@ def fox_boundary_matrices(g: int, monodromy: Sequence[SL2Z]) -> tuple[IntMatrix,
         tuple(x for inv in invs for x in (1 - inv.a, -inv.b)),
         tuple(x for inv in invs for x in (-inv.c, 1 - inv.d)),
     )
-    handles = tuple((x_inv, x * y_inv, y) for x, y, x_inv, y_inv in zip(mats[::2], mats[1::2], invs[::2], invs[1::2]))
+    handles = tuple((invs[i], mats[i] * invs[i + 1] * invs[i], mats[i + 1]) for i in range(0, 2 * g, 2))
     d2 = tuple(row for j in range(2 * g) for row in _fox_block(j, handles))
     return IntMatrix._trusted(d2, 2), IntMatrix._trusted(d1, 4 * g)
 

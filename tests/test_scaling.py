@@ -107,10 +107,10 @@ def test_fox_walk_inverts_each_matrix_once(monkeypatch, g):
     products.clear()
     is_symplectic(b)
     assert len(inverses) == 2 * g  # surface_relation_holds works on plain integers, so all come from the build
-    # still quadratic: 2g walks of g handles, three products per handle (the prefix after each handle's y is
-    # never read), plus g products that build each handle's rho(x) rho(y)^-1 once per build.  Bringing the
-    # products to linear is the one-walk Fox walk's job
-    assert len(products) == 6 * g * g + g
+    # still quadratic: 2g build products (each handle's rho(x) rho(y)^-1, then K = rho(x) rho(y)^-1 rho(x)^-1),
+    # 2 per handle per walk over 2g walks of g handles (K p and rho(y) K p), and one rho(x)^-1 p per b-block at
+    # its own handle.  Bringing the products to linear is the one-walk Fox walk's job
+    assert len(products) == 4 * g * g + 3 * g
 
 
 @pytest.mark.slow
