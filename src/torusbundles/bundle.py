@@ -66,7 +66,7 @@ class SL2Z(Record):
     def __mul__(self, other: "SL2Z") -> "SL2Z":
         if other.__class__ is not SL2Z and not isinstance(other, SL2Z):
             return NotImplemented
-        # built here rather than through _trusted: the Fox walk makes 6g^2 + g of these per classification
+        # built here rather than through _trusted: the Fox walk makes 4g^2 + 3g of these per classification
         m = object.__new__(SL2Z)
         m.__dict__.update(
             a=self.a * other.a + self.b * other.c,
