@@ -6,19 +6,15 @@
 #                         exit 1 with a message
 #   ci/smoke.sh bench     5 s benchmark runs of both gated workloads and one traced run, each correct with 0 failed
 #
-# The command is $TORUSBUNDLES, word-split, so TORUSBUNDLES="python3 -m torusbundles.cli" runs the source
-# tree (with PYTHONPATH=src); it defaults to the installed console script.  Scratch files go to
-# $RUNNER_TEMP, or to a new temporary directory that is removed on exit.
+# The command is whatever `torusbundles` is on PATH, the installed console script in CI; without one the first
+# call exits 127 with "command not found".  Scratch files go to $RUNNER_TEMP, or to a new temporary directory
+# that is removed on exit.
 set -e  # as bash -e, the shell GitHub runs a `run:` step in
 cd "$(dirname "$0")/.."
 if [ -z "${RUNNER_TEMP:-}" ]; then
   RUNNER_TEMP=$(mktemp -d)
   trap 'rm -rf "$RUNNER_TEMP"' EXIT
 fi
-
-torusbundles() {
-  ${TORUSBUNDLES:-torusbundles} "$@"
-}
 
 refused() {  # the arguments must exit 1 with a message and no traceback
   code=0

@@ -8,7 +8,8 @@ ranks run on `rank`, one pass of 2x2 minors, and `cokernel_structure` (H1 for
 `homology`) reads d1 | d2 off a running Hermite basis of the column span, so
 the rule route and the oracles reach every verdict on different kernels.  Both
 read the thin side and refuse any other shape.  `snf`, the general Smith
-algorithm, is only the tests' reference.
+algorithm, is the tests' reference; `integer_kernel` reads any width but two
+off it, and no package code passes one.
 """
 
 from __future__ import annotations
@@ -166,7 +167,8 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     D is diagonal with nonnegative entries satisfying d1 | d2 | ... and any
     zeros trailing; U and V are unimodular.  Total on all integer matrices,
-    including empty and zero ones; no package code calls it.  One loop of gcd
+    including empty and zero ones.  No classification or CLI path calls it;
+    `integer_kernel` does on a width other than two.  One loop of gcd
     elimination (Cohen 2.4), every step folded into U and V: step t swaps the
     smallest nonzero entry left to (t, t) and clears its column and row by
     `_gcd_op`; while an entry left is not a multiple of that pivot, its row is
@@ -290,16 +292,19 @@ def _normalize_column_sign(column: Sequence[int]) -> tuple[int, ...]:
 def integer_kernel(m: IntMatrix) -> IntMatrix:
     """Basis of the saturated lattice {v : m*v = 0}, one vector per column.
 
-    Column echelon (Hermite) reduction, Cohen 2.4, carrying only the column
-    transform V: each column of m is extended by the matching column of the
-    identity, and row by row, gcd column operations leave one column with a
-    nonzero entry there, which is set aside as that row's pivot.  The columns
-    left have zero m part, and V is unimodular, so their V parts are a
-    saturated kernel basis.  Two columns take `_two_column_kernel`, the same
-    reduction on a 2x2 V; other widths take `_echelon_kernel`.  Each
-    column's sign is normalized so its first nonzero entry is positive.
+    Two columns, as in the fixed lattice's 4g x 2 stack, take
+    `_two_column_kernel`: a column echelon (Hermite) reduction, Cohen 2.4,
+    carrying only the 2x2 column transform.  No package code passes another
+    width; those read the kernel off `snf`: U*m*V = D with V unimodular, so
+    V's columns past D's rank are a saturated kernel basis.  Each column's
+    sign is normalized so its first nonzero entry is positive.
     """
-    columns = _two_column_kernel(m.entries) if m.cols == 2 else _echelon_kernel(m)
+    if m.cols == 2:
+        columns = _two_column_kernel(m.entries)
+    else:
+        _, d, v = snf(m)
+        r = sum(map(bool, d.diagonal()))
+        columns = tuple(_normalize_column_sign(v.column(j)) for j in range(r, m.cols))
     return IntMatrix._trusted(columns, m.cols).transpose()
 
 
@@ -316,33 +321,6 @@ def _two_column_kernel(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
     g = gcd(x, y)
     q, s = -y // g, x // g
     return () if any(u * q + w * s for u, w in rows) else (_normalize_column_sign((q, s)),)
-
-
-def _echelon_kernel(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
-    """integer_kernel's reduction on any shape, as the V parts of the columns it leaves."""
-    nr, nc = m.rows, m.cols
-    live = [[*m.column(j), *(int(i == j) for i in range(nc))] for j in range(nc)]
-    for i in [i for i, row in enumerate(m.entries) if any(row)]:  # column operations keep a zero row zero
-        if not live:
-            break
-        hits = [c for c in live if c[i]]
-        if not hits:
-            continue
-        hits.sort(key=lambda c: abs(c[i]))
-        pivot, live = hits[0], [c for c in live if c is not hits[0]]
-        for c in hits[1:]:
-            p, q = pivot[i], c[i]
-            if q % p == 0:
-                f = q // p
-                c[:] = [w - f * u for u, w in zip(pivot, c)]
-            else:
-                g, x, y = xgcd(p, q)
-                p, q = p // g, q // g
-                pivot[:], c[:] = (
-                    [x * u + y * w for u, w in zip(pivot, c)],
-                    [p * w - q * u for u, w in zip(pivot, c)],
-                )
-    return tuple(_normalize_column_sign(c[nr:]) for c in live)
 
 
 def cokernel_structure(m: IntMatrix) -> AbelianGroup:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -429,12 +430,30 @@ def test_a_closed_stdout_exits_1_without_a_traceback(fmt):
     assert err == ""  # no traceback, nor the "Exception ignored" note of a failed flush at exit
 
 
-@pytest.mark.slow
-def test_the_ci_console_smoke_script_passes_on_the_source_tree():
-    # the script CI runs on the installed console script, here run on this checkout's source by python -m
+def _smoke_console(directory: Path, shim: str, **extra_env: str) -> subprocess.CompletedProcess:
+    """Run `ci/smoke.sh console` with an executable `torusbundles` in directory, first on PATH, whose body is shim."""
+    script = directory / "torusbundles"
+    script.write_text(f"#!/usr/bin/env bash\n{shim}\n")
+    script.chmod(0o755)
+    env = {**os.environ, **extra_env, "PATH": f"{directory}{os.pathsep}{os.environ.get('PATH', '')}"}
     root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, "TORUSBUNDLES": f"{sys.executable} -m torusbundles.cli", "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run(
+    return subprocess.run(
         ["bash", str(root / "ci" / "smoke.sh"), "console"], env=env, capture_output=True, text=True, timeout=300
     )
+
+
+def test_the_ci_console_smoke_script_runs_the_torusbundles_on_path(tmp_path):
+    # the stub logs its arguments and exits 0, so the script stops at its first refusal check; FUNCNEST stops
+    # a shell function named torusbundles that shadows the stub by calling itself
+    log = tmp_path / "argv.txt"
+    proc = _smoke_console(tmp_path, f'echo "$*" >> {shlex.quote(str(log))}', FUNCNEST="50")
+    assert log.is_file(), proc.stdout + proc.stderr
+    assert log.read_text().splitlines()[0] == "sw0 --genus 2 --m 3 --n 3"
+
+
+@pytest.mark.slow
+def test_the_ci_console_smoke_script_passes_on_the_source_tree(tmp_path):
+    # the script CI runs on the installed console script, here run on this checkout's source by a shim
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = _smoke_console(tmp_path, f'exec {shlex.quote(sys.executable)} -m torusbundles.cli "$@"', PYTHONPATH=str(src))
     assert proc.returncode == 0, proc.stdout + proc.stderr

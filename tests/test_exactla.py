@@ -18,7 +18,7 @@ from torusbundles import exactla
 from torusbundles.exactla import _thin_invariants
 from torusbundles.homology import fiber_relation_matrix
 
-from support import columns, identity_matrix, random_valid_bundle, snf_kernel, zero_matrix
+from support import columns, count_calls, identity_matrix, random_valid_bundle, snf_kernel, zero_matrix
 
 
 def random_matrix(rng, max_dim=6, bound=9, thin=False):
@@ -342,7 +342,11 @@ def _kernel_matrices(draw):
 
 
 class TestHermiteKernel:
-    """integer_kernel, the rule route's kernel, against snf's rank and kernel and sympy's Hermite form."""
+    """integer_kernel, the rule route's kernel, against snf's rank and kernel and sympy's Hermite form.
+
+    On any width but two integer_kernel reads its basis off snf, as snf_kernel does, so there the two are one
+    algorithm and sympy's Hermite form is their independent reference.
+    """
 
     @settings(max_examples=50, derandomize=True, database=None, deadline=None)
     @given(_kernel_matrices())
@@ -383,22 +387,36 @@ def _two_column_matrices(draw):
     return IntMatrix(rows, cols=2)
 
 
-def test_the_two_column_path_equals_the_general_path_and_the_snf_kernel():
-    """integer_kernel's k x 2 path: the general echelon path's basis, signs included, and snf's lattice."""
+def test_the_two_column_path_is_sign_normalized_and_equals_the_snf_kernel():
+    """integer_kernel's k x 2 path: each vector's first nonzero entry positive, and snf's basis up to sign."""
     ranks = set()
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(_two_column_matrices())
     def check(m):
         thin = exactla._two_column_kernel(m.entries)
-        assert thin == exactla._echelon_kernel(m)  # the rationale prints the basis' first vector, so signs count
         assert tuple(columns(integer_kernel(m))) == thin
+        assert all(next(x for x in v if x) > 0 for v in thin)  # the rationale prints the basis' first vector
+        if len(thin) == 2:
+            assert thin == ((1, 0), (0, 1))
         assert all(x * u + y * v == 0 for x, y in m.entries for u, v in thin)
         reference = snf_kernel(m)
         assert reference.cols == len(thin)
-        if len(thin) == 1:  # a rank-1 saturated lattice has two primitive generators, v and -v
-            assert reference.column(0) in (thin[0], tuple(-x for x in thin[0]))
+        # a saturated lattice of rank 1 has two primitive generators, v and -v; of rank 2, snf keeps V = I here
+        for v, w in zip(thin, columns(reference)):
+            assert w in (v, tuple(-x for x in v))
         ranks.add(len(thin))
 
     check()
     assert ranks == {0, 1, 2}
+
+
+def test_only_widths_other_than_two_call_snf(monkeypatch):
+    monkeypatch.setattr(exactla, "snf", None)  # a k x 2 kernel that reached snf would raise TypeError
+    for k in (0, 1, 4):
+        assert integer_kernel(IntMatrix([[2, 6]] * k, cols=2)).cols == (2 if k == 0 else 1)
+    monkeypatch.undo()
+    calls = count_calls(monkeypatch, snf)
+    for k in (0, 1, 3, 5):
+        assert integer_kernel(IntMatrix([[1, 2, 3, 4, 5][:k], [0, 1, 0, 1, 0][:k]], cols=k)).rows == k
+    assert len(calls) == 4
