@@ -50,8 +50,10 @@ console() {
   for command in classify spectral; do  # both walk the Fox relator at the largest genus its budget admits
     torusbundles "$command" "$RUNNER_TEMP/max_genus.json" > /dev/null
   done
-  refused classify "$RUNNER_TEMP/huge_genus.json"
-  refused spectral "$RUNNER_TEMP/huge_genus.json"
+  for command in classify spectral; do
+    refused "$command" "$RUNNER_TEMP/huge_genus.json"
+    grep -q 'genus 1001 is above the 1000 that classify and spectral take' "$RUNNER_TEMP/refused.txt"
+  done
   echo '{"genus": 2, "monodromy": [[[1, 0], [0, 1]], [[1, 0], [0]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]], "euler": [0, 0]}' \
     > "$RUNNER_TEMP/bad_shape.json"  # monodromy[1]'s second row has one entry
   refused classify "$RUNNER_TEMP/bad_shape.json"

@@ -35,9 +35,9 @@ MAX_LISTED_MODULUS = 10**6
 # took 0.09 s; g 2..1442 with m = n = 1 scores 3.0e9 and took 3.4-4.0 s; g 2..2 with m, n in 790..792 scores 4.5e9 and
 # took 14.6-14.7 s in process.
 MAX_PARITY_WORK = 3 * 10**9
-# classify and spectral walk the Fox relator once per generator, quadratic in the genus: is_symplectic took 0.11 s
-# at g = 200 and 2.7 s at g = 1,000, and classify and spectral 2.8-2.9 s each as a process at g = 1,000 (one unipotent
-# generator), on a 2-vCPU Xeon host with Python 3.11.7.  homology is linear, any genus goes.
+# classify and spectral walk the Fox relator once per generator, quadratic in the genus; homology is linear, any genus
+# goes.  At this genus both must finish under FOX_EDGE_CEILING_S, which the opt-in slow test
+# tests/test_cli.py::test_classify_and_spectral_at_the_fox_genus_budget_finish_under_the_ceiling checks.
 MAX_FOX_GENUS = 1000
 # a cross-check flag of the classification; None means the spectral oracle did not apply
 _AGREE = {True: "agree", False: "disagree", None: "skipped (monodromy violates the surface relation)"}

@@ -36,14 +36,15 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-class IntMatrix:
-    """Immutable integer matrix; rows and columns may be zero."""
+class IntMatrix(Record):
+    """Immutable integer matrix; rows and columns may be zero, and `cols` defaults to the row width."""
 
-    __slots__ = ("_entries", "_cols")
+    entries: tuple[tuple[int, ...], ...]
+    cols: int | None = None
 
-    def __init__(self, entries: Sequence[Sequence[int]], cols: int | None = None):
+    def _check(self) -> None:
         rows = []
-        for row in entries:
+        for row in self.entries:
             checked = []
             for x in row:
                 if isinstance(x, bool) or not isinstance(x, int):
@@ -54,72 +55,53 @@ class IntMatrix:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
                 raise ValueError("ragged rows in matrix input")
-            if cols is not None and cols != width:
-                raise ValueError(f"cols={cols} disagrees with row length {width}")
+            if self.cols is not None and self.cols != width:
+                raise ValueError(f"cols={self.cols} disagrees with row length {width}")
         else:
-            width = 0 if cols is None else cols
+            width = 0 if self.cols is None else self.cols
         if width < 0:
             raise ValueError("negative column count")
-        self._entries = tuple(rows)
-        self._cols = width
+        object.__setattr__(self, "entries", tuple(rows))
+        object.__setattr__(self, "cols", width)
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
         """Wrap row tuples the package built from already-checked integers, skipping the checks."""
         m = object.__new__(cls)
-        m._entries = rows
-        m._cols = cols
+        object.__setattr__(m, "entries", rows)
+        object.__setattr__(m, "cols", cols)
         return m
 
     @property
     def rows(self) -> int:
-        return len(self._entries)
-
-    @property
-    def cols(self) -> int:
-        return self._cols
-
-    @property
-    def entries(self) -> tuple[tuple[int, ...], ...]:
-        return self._entries
+        return len(self.entries)
 
     def __getitem__(self, index: tuple[int, int]) -> int:
         i, j = index
-        return self._entries[i][j]
+        return self.entries[i][j]
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self._entries)
+        return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "IntMatrix":
-        entries = self._entries
-        columns = tuple(tuple(row[j] for row in entries) for j in range(self._cols))
+        entries = self.entries
+        columns = tuple(tuple(row[j] for row in entries) for j in range(self.cols))
         return IntMatrix._trusted(columns, len(entries))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         out = tuple(
-            tuple(sum(row[k] * other._entries[k][j] for k in range(self.cols)) for j in range(other.cols))
-            for row in self._entries
+            tuple(sum(row[k] * other.entries[k][j] for k in range(self.cols)) for j in range(other.cols))
+            for row in self.entries
         )
         return IntMatrix._trusted(out, other.cols)
 
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self._entries[i][i] for i in range(min(self.rows, self.cols)))
+        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self._entries for x in row)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self._entries == other._entries and self._cols == other._cols
-
-    def __hash__(self) -> int:
-        return hash((self._entries, self._cols))
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({[list(r) for r in self._entries]!r}, cols={self._cols})"
+        return all(x == 0 for row in self.entries for x in row)
 
 
 class AbelianGroup(Record):
@@ -305,7 +287,7 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
         _, d, v = snf(m)
         r = sum(map(bool, d.diagonal()))
         columns = tuple(_normalize_column_sign(v.column(j)) for j in range(r, m.cols))
-    return IntMatrix._trusted(columns, m.cols).transpose()
+    return IntMatrix._trusted(tuple(tuple(column[i] for column in columns) for i in range(m.cols)), len(columns))
 
 
 def _two_column_kernel(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

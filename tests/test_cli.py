@@ -286,6 +286,32 @@ class TestInputErrors:
         assert len(fox) == 1
 
 
+# classify and spectral at MAX_FOX_GENUS each took 2.8-3.0 s as a process on a 2-vCPU Xeon host with Python 3.11.7;
+# the ceiling is three times that, for the host's x2 noise.  The goldens error-*-huge-genus hold the refusal above it
+FOX_EDGE_CEILING_S = 3 * 3.0
+
+
+@pytest.mark.slow
+def test_classify_and_spectral_at_the_fox_genus_budget_finish_under_the_ceiling(tmp_path):
+    g = torusbundles.cli.MAX_FOX_GENUS
+    path = tmp_path / "max_genus.json"  # one unipotent generator, as in ci/smoke.sh
+    monodromy = [[[1, 1], [0, 1]]] + [[[1, 0], [0, 1]]] * (2 * g - 1)
+    path.write_text(json.dumps({"genus": g, "monodromy": monodromy, "euler": [3, 0]}))
+    src = str(Path(torusbundles.__file__).resolve().parents[1])
+    for command in ("classify", "spectral"):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "torusbundles.cli", command, str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=10 * FOX_EDGE_CEILING_S,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert elapsed < FOX_EDGE_CEILING_S, f"{command} at genus {g} took {elapsed:.1f} s"
+
+
 class TestDigitLimit:
     HUGE_FACTOR = Path(__file__).parent / "golden" / "bundles" / "huge_factor.json"
 

@@ -56,6 +56,22 @@ def assert_snf_contract(m):
     return u, d, v
 
 
+def test_the_checked_constructor_refuses_bad_input_and_normalizes_rows():
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError, match=f"matrix entries must be integers, got {bad!r}"):
+            IntMatrix([[bad]])
+    with pytest.raises(ValueError, match="ragged rows in matrix input"):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="cols=3 disagrees with row length 2"):
+        IntMatrix([[1, 2]], cols=3)
+    with pytest.raises(ValueError, match="negative column count"):
+        IntMatrix([], cols=-1)
+    m = IntMatrix([[1, 2], [3, 4]])
+    assert m.entries == ((1, 2), (3, 4))
+    assert m.cols == 2
+    assert IntMatrix([], cols=3).cols == 3
+
+
 class TestSnf:
     def test_worked_example(self):
         m = IntMatrix([[2, 4], [6, 8]])

@@ -21,6 +21,7 @@ from torusbundles import (
     ClassificationReport,
     CrossChecks,
     E2Ranks,
+    IntMatrix,
     Lattice,
     RationaleEntry,
     ResidueSet,
@@ -47,6 +48,7 @@ SAMPLES = [
         dict(genus=2, monodromy=(UPPER, IDENTITY, IDENTITY, IDENTITY), euler=(3, 0)),
     ),
     (AbelianGroup, dict(free_rank=1, invariant_factors=(2, 4)), dict(free_rank=1, invariant_factors=(2,))),
+    (IntMatrix, dict(entries=((1, 2), (3, 4)), cols=2), dict(entries=((1, 2), (3, 5)), cols=2)),
     (
         E2Ranks,
         dict(rank_e00=1, rank_e01=2, rank_e02=1, rank_e10=4, rank_e11=6, rank_e20=1, rank_e21=2, rank_e22=1),
