@@ -35,8 +35,8 @@ MAX_LISTED_MODULUS = 10**6
 # took 0.09 s; g 2..1442 with m = n = 1 scores 3.0e9 and took 3.4-4.0 s; g 2..2 with m, n in 790..792 scores 4.5e9 and
 # took 14.6-14.7 s in process.
 MAX_PARITY_WORK = 3 * 10**9
-# classify and spectral walk the Fox relator once per generator, quadratic in the genus; homology is linear, any genus
-# goes.  At this genus both must finish under FOX_EDGE_CEILING_S, which the opt-in slow test
+# classify and spectral walk the Fox relator once per generator up to its own handle, quadratic in the genus; homology
+# is linear, any genus goes.  At this genus both must finish under FOX_EDGE_CEILING_S, which the opt-in slow test
 # tests/test_cli.py::test_classify_and_spectral_at_the_fox_genus_budget_finish_under_the_ceiling checks.
 MAX_FOX_GENUS = 1000
 # a cross-check flag of the classification; None means the spectral oracle did not apply

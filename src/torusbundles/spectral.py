@@ -63,16 +63,15 @@ def _fox_block(j: int, handles: Sequence[tuple[SL2Z, SL2Z, SL2Z]]) -> tuple[tupl
     the prefix after x^-1, and rho(y) K p the one after y^-1.  At j's own
     handle the block is the prefix after x_j^-1 less the one before x_j, so
     an a-block reads (K - I) p and a b-block (rho(y) K - rho(x)^-1) p: only a
-    b-block makes the prefix after x, and no block the one after y.
+    b-block makes the prefix after x.  x_j occurs only in its own handle, so
+    the walk stops there and never crosses a later one.
     """
     own, second = divmod(j, 2)  # j's handle, and whether j is its b
     p = _IDENTITY
-    for i, (x_inv, k, y) in enumerate(handles):
-        after_x_inv = k * p
-        after_y_inv = y * after_x_inv
-        if i == own:
-            minus, plus = (x_inv * p, after_y_inv) if second else (p, after_x_inv)
-        p = after_y_inv
+    for x_inv, k, y in handles[: own + 1]:
+        before, after_x_inv = p, k * p
+        p = y * after_x_inv
+    minus, plus = (x_inv * before, p) if second else (before, after_x_inv)
     return (plus.a - minus.a, plus.b - minus.b), (plus.c - minus.c, plus.d - minus.d)
 
 

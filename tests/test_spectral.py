@@ -207,3 +207,27 @@ def test_fox_matrices_match_the_reference_walk_above_genus_6(g, valid):
         monodromy = tuple(conjugate(m, p) for m in draw(rng, g))
         d2, d1 = fox_boundary_matrices(g, monodromy)
         assert (d2.entries, d1.entries) == reference_fox_matrices(g, monodromy)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 4), st.booleans(), st.integers(0, 2**32))
+# an edit to this body redraws every derandomized example, so these stay fixed: the first and the last handle
+# before a replaced tail, on relation-satisfying and arbitrary tuples
+@example(g=2, h=0, valid=True, seed=1)
+@example(g=2, h=0, valid=False, seed=2)
+@example(g=6, h=4, valid=True, seed=3)
+@example(g=6, h=4, valid=False, seed=4)
+@example(g=5, h=1, valid=True, seed=5)
+def test_d2_rows_up_to_a_handle_ignore_every_later_matrix(g, h, valid, seed):
+    """x_j occurs only in its own handle, so D2's rows for the generators of handles 0..h stay the same when
+    every matrix after handle h is replaced (here by itself times a random conjugate of UPPER, never equal)."""
+    h %= g - 1  # leaves at least one handle after h
+    rng = random.Random(seed)
+    draw = random_valid_monodromy if valid else random_arbitrary_monodromy
+    monodromy = draw(rng, g)
+    kept = 2 * (h + 1)  # a_0, b_0, ..., a_h, b_h
+    replaced = monodromy[:kept] + tuple(m * conjugate(UPPER, random_sl2z(rng)) for m in monodromy[kept:])
+    d2, _ = fox_boundary_matrices(g, monodromy)
+    d2_replaced, _ = fox_boundary_matrices(g, replaced)
+    assert d2_replaced.entries[: 2 * kept] == d2.entries[: 2 * kept]  # two rows per generator
+    assert d2_replaced.entries == reference_fox_matrices(g, replaced)[0]
