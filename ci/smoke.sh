@@ -47,8 +47,10 @@ console() {
     > "$RUNNER_TEMP/huge_genus.json"  # above cli.MAX_FOX_GENUS = 1000
   python -c "import json; print(json.dumps({'genus': 1000, 'monodromy': [[[1, 1], [0, 1]]] + [[[1, 0], [0, 1]]] * 1999, 'euler': [3, 0]}))" \
     > "$RUNNER_TEMP/max_genus.json"  # at cli.MAX_FOX_GENUS = 1000, one unipotent generator
-  for command in classify spectral; do  # both walk the Fox relator at the largest genus its budget admits; a slow
-    timeout 120 torusbundles "$command" "$RUNNER_TEMP/max_genus.json" > /dev/null  # walk fails here, not at the job limit
+  # both walk the Fox relator at the largest genus its budget admits; the timeout fails a slow walk here, not at the
+  # job's 20-minute limit
+  for command in classify spectral; do
+    timeout 120 torusbundles "$command" "$RUNNER_TEMP/max_genus.json" > /dev/null
   done
   for command in classify spectral; do
     refused "$command" "$RUNNER_TEMP/huge_genus.json"

@@ -63,8 +63,8 @@ def _fox_block(j: int, handles: Sequence[tuple[SL2Z, SL2Z, SL2Z]]) -> tuple[tupl
     the prefix after x^-1, and rho(y) K p the one after y^-1.  At j's own
     handle the block is the prefix after x_j^-1 less the one before x_j, so
     an a-block reads (K - I) p and a b-block (rho(y) K - rho(x)^-1) p: only a
-    b-block makes the prefix after x.  x_j occurs only in its own handle, so
-    the walk stops there and never crosses a later one.
+    b-block makes the prefix after x, and no block the one after y.  The
+    walk stops at j's own handle, the only one where x_j occurs.
     """
     own, second = divmod(j, 2)  # j's handle, and whether j is its b
     p = _IDENTITY

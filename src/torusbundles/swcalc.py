@@ -97,7 +97,7 @@ class SWPolynomial(Record):
 
 
 # The largest subgroup order cyclic_subgroup enumerates; ResidueSet's closure check is cubic in the order.  sw0 at
-# n = 800 (orders 800 and 400) took 3.1-3.6 s at g = 3, and 3.4-3.6 s at n = 799, g = 7,000 (2-vCPU Xeon, Python 3.11)
+# n = 800 is timed by the opt-in test_cli.py::test_sw0_finishes_at_the_subgroup_order_budget_and_refuses_one_above
 MAX_SUBGROUP_ORDER = 800
 
 
@@ -122,7 +122,8 @@ def cyclic_subgroup(m: int, n: int) -> ResidueSet:
 
 # The largest genus the SW routes take: every value must print under Python's default 4,300-digit limit, which the
 # CLI holds while it renders every SW command.  An sw0 value is at most MAX_SUBGROUP_ORDER * 2^(2g-2), 4,217 digits at
-# g = 7,000 (past 4,300 from g = 7,139); there swpoly and sw0 at n = 3 took 0.2 s on a 2-vCPU Xeon, Python 3.11.7.
+# g = 7,000 (past 4,300 from g = 7,139).  The opt-in test_swpoly_finishes_at_the_sw_genus_budget_and_refuses_one_above
+# in test_cli.py times swpoly there.
 MAX_SW_GENUS = 7000
 
 

@@ -286,10 +286,33 @@ class TestInputErrors:
         assert len(fox) == 1
 
 
-# classify and spectral at MAX_FOX_GENUS each took 1.4-3.3 s as a process, median 2.0 s over 50 runs, on a 2-vCPU Xeon
-# host with Python 3.11.7.  The ceiling is three times the median: the slowest run is under it, and 24 of 26 runs of a
-# Fox walk made four times slower (5.3-9.8 s, median 6.6 s) are over it.  The goldens error-*-huge-genus hold the refusal
+# classify and spectral at MAX_FOX_GENUS each took 1.4-3.3 s as a process, median 2.0 s over 50 runs, on a 2-vCPU
+# Xeon host with Python 3.11.7.  The ceiling is three times the median: the slowest run is under it, and 24 of 26 runs
+# of a Fox walk made four times slower (5.3-9.8 s, median 6.6 s) are over it.  The goldens error-*-huge-genus hold the
+# refusal above it
 FOX_EDGE_CEILING_S = 3 * 2.0
+# sw0 --genus 3 --m 1 --n 800, at MAX_SUBGROUP_ORDER (subgroup orders 800 and 400), took 3.3-4.1 s as a process,
+# median 3.5 s over 16 runs, on the same host; the ceiling is three times the median
+SUBGROUP_EDGE_CEILING_S = 3 * 3.5
+# swpoly --genus 7000 --n 3, at MAX_SW_GENUS, took 0.12-0.18 s as a process, median 0.14 s over 16 runs, on the same
+# host; the ceiling is three times the median
+SW_GENUS_EDGE_CEILING_S = 3 * 0.14
+
+
+def _timed_cli(*argv: str, ceiling: float) -> subprocess.CompletedProcess:
+    """Run the CLI on this checkout's source in a fresh interpreter, and assert that it exits within ceiling seconds."""
+    src = str(Path(torusbundles.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusbundles.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=10 * ceiling,
+    )
+    elapsed = time.perf_counter() - start
+    assert elapsed < ceiling, f"{' '.join(argv)} took {elapsed:.2f} s"
+    return proc
 
 
 @pytest.mark.slow
@@ -298,19 +321,34 @@ def test_classify_and_spectral_at_the_fox_genus_budget_finish_under_the_ceiling(
     path = tmp_path / "max_genus.json"  # one unipotent generator, as in ci/smoke.sh
     monodromy = [[[1, 1], [0, 1]]] + [[[1, 0], [0, 1]]] * (2 * g - 1)
     path.write_text(json.dumps({"genus": g, "monodromy": monodromy, "euler": [3, 0]}))
-    src = str(Path(torusbundles.__file__).resolve().parents[1])
     for command in ("classify", "spectral"):
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "torusbundles.cli", command, str(path)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-            timeout=10 * FOX_EDGE_CEILING_S,
-        )
-        elapsed = time.perf_counter() - start
+        proc = _timed_cli(command, str(path), ceiling=FOX_EDGE_CEILING_S)
         assert proc.returncode == 0, proc.stderr
-        assert elapsed < FOX_EDGE_CEILING_S, f"{command} at genus {g} took {elapsed:.1f} s"
+
+
+@pytest.mark.slow
+def test_sw0_finishes_at_the_subgroup_order_budget_and_refuses_one_above():
+    n = torusbundles.swcalc.MAX_SUBGROUP_ORDER
+    proc = _timed_cli("sw0", "--genus", "3", "--m", "1", "--n", str(n), ceiling=SUBGROUP_EDGE_CEILING_S)
+    assert proc.returncode == 0, proc.stderr
+    # the golden error-sw0-huge-order holds a refusal far above the budget; this is the first one
+    proc = _timed_cli("sw0", "--genus", "3", "--m", "1", "--n", str(n + 1), ceiling=SUBGROUP_EDGE_CEILING_S)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        f"error: the subgroup generated by m = 1 mod n = {n + 1} has order {n + 1}, "
+        f"above the {n} that cyclic_subgroup enumerates\n"
+    )
+
+
+@pytest.mark.slow
+def test_swpoly_finishes_at_the_sw_genus_budget_and_refuses_one_above():
+    g = torusbundles.swcalc.MAX_SW_GENUS
+    proc = _timed_cli("swpoly", "--genus", str(g), "--n", "3", ceiling=SW_GENUS_EDGE_CEILING_S)
+    assert proc.returncode == 0, proc.stderr
+    # the golden error-sw0-huge-genus holds a refusal far above the budget; this is the first one
+    proc = _timed_cli("swpoly", "--genus", str(g + 1), "--n", "3", ceiling=SW_GENUS_EDGE_CEILING_S)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: genus {g + 1} is above the {g} that the SW routes take\n"
 
 
 class TestDigitLimit:
