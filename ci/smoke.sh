@@ -26,8 +26,9 @@ refused() {  # the arguments must exit 1 with a message and no traceback
 
 console() {
   torusbundles sw0 --genus 2 --m 3 --n 3
-  torusbundles swpoly --genus 7000 --n 3 > /dev/null  # the largest genus the SW routes take still prints
-  torusbundles verify-parity --g 3000..3000 --mn 1..1  # the grid budget scores the genus as g^2, not g^3
+  # the timeouts fail a slow edge input here, not at the job's 20-minute limit
+  timeout 120 torusbundles swpoly --genus 7000 --n 3 > /dev/null  # the largest genus the SW routes take still prints
+  timeout 120 torusbundles verify-parity --g 3000..3000 --mn 1..1  # the grid budget scores the genus as g^2, not g^3
   for command in classify homology spectral; do  # each subcommand imports its own modules
     torusbundles "$command" tests/golden/bundles/principal.json
   done
@@ -42,6 +43,8 @@ console() {
   if grep -q Traceback "$RUNNER_TEMP/pipe.txt"; then exit 1; fi
   refused swpoly --genus 2 --n 1000000000000000000000000000000
   refused verify-parity --g 2..2 --mn 790..792
+  refused verify-parity --g 2..2 --mn 691..693  # admitted, and over 10 s, while the cubic term weighed 1
+  grep -q 'scores cells \* (4 max(|m|, |n|)^3 + g^2) above 3000000000' "$RUNNER_TEMP/refused.txt"
   refused sw0 --genus 100000 --m 1 --n 3
   python -c "import json; print(json.dumps({'genus': 1001, 'monodromy': [[[1, 0], [0, 1]]] * 2002, 'euler': [2, 3]}))" \
     > "$RUNNER_TEMP/huge_genus.json"  # above cli.MAX_FOX_GENUS = 1000

@@ -30,12 +30,10 @@ class Record:
     """
 
     _fields: tuple[str, ...] = ()
-    _checked = False
 
     def __init_subclass__(cls) -> None:
         cls._fields += tuple(cls.__annotations__)
         cls._defaults = {f: getattr(cls, f) for f in cls._fields if hasattr(cls, f)}
-        cls._checked = cls._check is not Record._check  # a record without a check of its own skips the call
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         fields = self._fields
@@ -48,8 +46,7 @@ class Record:
                 raise TypeError(f"{type(self).__name__}() takes the fields {fields}; got extra or unknown arguments")
         for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
-        if self._checked:
-            self._check()
+        self._check()
 
     def _check(self) -> None:
         """Validate the fields after construction; normalise one with ``object.__setattr__``."""

@@ -49,15 +49,8 @@ class SL2Z(Record):
         self.__dict__.update(a=a, b=b, c=c, d=d)
 
     @classmethod
-    def _trusted(cls, a: int, b: int, c: int, d: int) -> "SL2Z":
-        """Wrap integers of determinant 1 derived from checked matrices, skipping the check."""
-        m = object.__new__(cls)
-        m.__dict__.update(a=a, b=b, c=c, d=d)
-        return m
-
-    @classmethod
     def identity(cls) -> "SL2Z":
-        return cls._trusted(1, 0, 0, 1)
+        return cls(1, 0, 0, 1)
 
     @property
     def is_identity(self) -> bool:
@@ -66,7 +59,7 @@ class SL2Z(Record):
     def __mul__(self, other: "SL2Z") -> "SL2Z":
         if other.__class__ is not SL2Z and not isinstance(other, SL2Z):
             return NotImplemented
-        # built here rather than through _trusted: the Fox walk makes 2g^2 + 5g of these per classification
+        # built in place, unchecked, as inverse is: the Fox walk makes 2g^2 + 5g of these per classification
         m = object.__new__(SL2Z)
         m.__dict__.update(
             a=self.a * other.a + self.b * other.c,
@@ -77,7 +70,9 @@ class SL2Z(Record):
         return m
 
     def inverse(self) -> "SL2Z":
-        return SL2Z._trusted(self.d, -self.b, -self.c, self.a)
+        m = object.__new__(SL2Z)
+        m.__dict__.update(a=self.d, b=-self.b, c=-self.c, d=self.a)
+        return m
 
     def rows(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]

@@ -27,13 +27,13 @@ SIGN_CONVENTION = (
     "the underlying invariant is defined only up to a global sign"
 )
 _YES = {True: "yes", False: "no"}
-# swpoly lists one coefficient per residue mod |n|: at |n| = 10**6 that is 7 MB of JSON in about 1 s
+# swpoly lists one coefficient per residue mod |n|.  At this modulus and MAX_SW_GENUS it writes 88 MB of text; the
+# opt-in tests/test_cli.py::test_swpoly_lists_every_residue_at_the_listed_modulus_and_sw_genus_budgets times it
 MAX_LISTED_MODULUS = 10**6
-# verify-parity's largest grid, scored cells * (max(|m|, |n|)^3 + g^2) before any cell runs: a cell's subgroup order
-# is at most max(|m|, |n|), whose closure check is cubic, and its two binomial rows cost about g^2.  Python 3.11.7, a
-# 2-vCPU Xeon host, process included: g 2..20 with m, n in -20..20 scores 2.7e8 and took 1.3 s; g 3,000 with m = n = 1
-# took 0.09 s; g 2..1442 with m = n = 1 scores 3.0e9 and took 3.4-4.0 s; g 2..2 with m, n in 790..792 scores 4.5e9 and
-# took 14.6-14.7 s in process.
+# verify-parity's largest grid, scored cells * (4 max(|m|, |n|)^3 + g^2) before any cell runs: a cell's subgroup order
+# is at most max(|m|, |n|), whose closure check is cubic, and its two binomial rows cost about g^2.  The cubic term
+# weighs 4 so that an order-heavy grid at the budget takes about as long as a genus-heavy one; the opt-in
+# tests/test_cli.py::test_verify_parity_finishes_at_the_grid_budget_and_refuses_the_next_grid times each shape's edge
 MAX_PARITY_WORK = 3 * 10**9
 # classify and spectral walk the Fox relator once per generator up to its own handle, quadratic in the genus; homology
 # is linear, any genus goes.  At this genus both must finish under FOX_EDGE_CEILING_S, which the opt-in slow test
@@ -209,9 +209,9 @@ def _verify_parity(args: argparse.Namespace) -> dict[str, Any]:
     if g_range.start < 2:
         raise ValueError(f"--g range must start at 2 or above, got {args.g}")
     cells = (g_range.stop - g_range.start) * (mn_range.stop - mn_range.start) ** 2  # len() overflows past 2**63
-    if cells * (max(-mn_range.start, mn_range.stop - 1) ** 3 + (g_range.stop - 1) ** 2) > MAX_PARITY_WORK:
+    if cells * (4 * max(-mn_range.start, mn_range.stop - 1) ** 3 + (g_range.stop - 1) ** 2) > MAX_PARITY_WORK:
         raise ValueError(
-            f"the grid --g {args.g} --mn {args.mn} scores cells * (max(|m|, |n|)^3 + g^2) above {MAX_PARITY_WORK}; "
+            f"the grid --g {args.g} --mn {args.mn} scores cells * (4 max(|m|, |n|)^3 + g^2) above {MAX_PARITY_WORK}; "
             "narrow --mn or --g"
         )
     return vars(parity_sweep(g_range, mn_range, mn_range))

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -118,7 +119,8 @@ class TestSwCommands:
         assert run(["swpoly", "--genus", "2", "--n", str(-(10**6))]) == 0
         assert run(["swpoly", "--genus", "2", "--n", str(-(10**6) - 1)]) == 1
         assert "--n must satisfy |n| <= 1000000" in capsys.readouterr().err
-        assert run(["verify-parity", "--g", "2..2", "--mn", "900..901"]) == 1  # the cell m = 900, n = 901
+        # no admitted grid reaches an order above 800: two values of m and n make four cells, 4 * 4 * 801^3 > 3e9
+        assert run(["sw0", "--genus", "2", "--m", "900", "--n", "901"]) == 1
         assert "has order 901, above the 800" in capsys.readouterr().err
         start = time.perf_counter()
         assert run(["sw0", "--genus", "100000", "--m", "1", "--n", "3"]) == 1
@@ -172,7 +174,13 @@ class TestVerifyParity:
 
     @pytest.mark.parametrize(
         "g, mn",
-        [("2..2", "790..792"), ("2..3", "-1000000000..1000000000"), ("2..3000", "1..2"), ("2..1443", "1..1")],
+        [
+            ("2..2", "790..792"),
+            ("2..2", "691..693"),
+            ("2..3", "-1000000000..1000000000"),
+            ("2..3000", "1..2"),
+            ("2..1443", "1..1"),
+        ],
     )
     def test_a_grid_above_the_budget_is_refused_before_it_runs(self, g, mn, capsys):
         start = time.perf_counter()
@@ -182,7 +190,7 @@ class TestVerifyParity:
 
     def test_the_grid_budget_is_inclusive(self, monkeypatch, capsys):
         sweeps = count_calls(monkeypatch, torusbundles.swcalc.parity_sweep)
-        work = 4 * (2**3 + 2**2)  # 1 genus, 2 x 2 cells, max(|m|, |n|) = 2, g = 2
+        work = 4 * (4 * 2**3 + 2**2)  # 1 genus, 2 x 2 cells, max(|m|, |n|) = 2, g = 2
         monkeypatch.setattr(torusbundles.cli, "MAX_PARITY_WORK", work)
         assert run(["verify-parity", "--g", "2..2", "--mn", "1..2"]) == 0
         assert run(["verify-parity", "--g", "2..2", "--mn", "-2..-1"]) == 0
@@ -297,15 +305,30 @@ SUBGROUP_EDGE_CEILING_S = 3 * 3.5
 # swpoly --genus 7000 --n 3, at MAX_SW_GENUS, took 0.12-0.18 s as a process, median 0.14 s over 16 runs, on the same
 # host; the ceiling is three times the median
 SW_GENUS_EDGE_CEILING_S = 3 * 0.14
+# swpoly --genus 7000 --n 1000000, at MAX_SW_GENUS and MAX_LISTED_MODULUS, took 4.9-5.5 s as a process with stdout
+# discarded, median 5.1 s over 7 runs, on the same host; the ceiling is three times the median
+LISTED_MODULUS_EDGE_CEILING_S = 3 * 5.1
+# verify-parity's largest admitted grid of each shape, the first refused grid of that shape, and the admitted grid's
+# median time as a process over 7 runs on the same host (ranges 2.77-3.04, 1.96-2.14, 1.92-2.08, 1.85-2.12, 2.19-2.51
+# and 1.45-1.61 s): many genera at m = n = 1, then two, three, ten and forty values of m and n at g = 2
+PARITY_EDGES = [
+    ("2..1442", "1..1", "2..1443", "1..1", 2.91),
+    ("2..2", "571..572", "2..2", "572..573", 2.05),
+    ("2..2", "434..436", "2..2", "435..437", 2.01),
+    ("2..2", "-436..-434", "2..2", "-437..-435", 1.96),
+    ("2..2", "186..195", "2..2", "187..196", 2.35),
+    ("2..2", "38..77", "2..2", "39..78", 1.56),
+]
 
 
-def _timed_cli(*argv: str, ceiling: float) -> subprocess.CompletedProcess:
+def _timed_cli(*argv: str, ceiling: float, stdout: int = subprocess.PIPE) -> subprocess.CompletedProcess:
     """Run the CLI on this checkout's source in a fresh interpreter, and assert that it exits within ceiling seconds."""
     src = str(Path(torusbundles.__file__).resolve().parents[1])
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "torusbundles.cli", *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
         timeout=10 * ceiling,
@@ -349,6 +372,51 @@ def test_swpoly_finishes_at_the_sw_genus_budget_and_refuses_one_above():
     proc = _timed_cli("swpoly", "--genus", str(g + 1), "--n", "3", ceiling=SW_GENUS_EDGE_CEILING_S)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: genus {g + 1} is above the {g} that the SW routes take\n"
+
+
+@pytest.mark.slow
+def test_swpoly_lists_every_residue_at_the_listed_modulus_and_sw_genus_budgets():
+    # test_budgets_exit_1 holds the refusal one above the modulus budget
+    g, n = torusbundles.swcalc.MAX_SW_GENUS, torusbundles.cli.MAX_LISTED_MODULUS
+    argv = ("swpoly", "--genus", str(g), "--n", str(n))
+    proc = _timed_cli(*argv, ceiling=LISTED_MODULUS_EDGE_CEILING_S, stdout=subprocess.DEVNULL)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("g, mn, refused_g, refused_mn, median", PARITY_EDGES)
+def test_verify_parity_finishes_at_the_grid_budget_and_refuses_the_next_grid(g, mn, refused_g, refused_mn, median):
+    proc = _timed_cli("verify-parity", "--g", g, "--mn", mn, ceiling=3 * median)
+    assert proc.returncode == 0, proc.stderr
+    proc = _timed_cli("verify-parity", "--g", refused_g, "--mn", refused_mn, ceiling=3 * median)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        f"error: the grid --g {refused_g} --mn {refused_mn} scores cells * (4 max(|m|, |n|)^3 + g^2) "
+        f"above {torusbundles.cli.MAX_PARITY_WORK}; narrow --mn or --g\n"
+    )
+
+
+def test_every_budget_has_an_opt_in_edge_test():
+    # a budget is a module-level MAX_* of the package; it has an edge test where a test marked slow in this file
+    # reads it as a Name or an Attribute, as test_lazy_api.py counts the readers of a public name
+    package = Path(torusbundles.__file__).resolve().parent
+    budgets = {
+        target.id
+        for path in package.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+    }
+    assert {"MAX_FOX_GENUS", "MAX_SUBGROUP_ORDER"} <= budgets
+    named = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for test in ast.walk(ast.parse(Path(__file__).read_text()))
+        if isinstance(test, ast.FunctionDef) and "pytest.mark.slow" in map(ast.unparse, test.decorator_list)
+        for node in ast.walk(test)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert sorted(budgets - named) == []
 
 
 class TestDigitLimit:

@@ -45,8 +45,9 @@ def test_h1_memory_is_linear_in_genus():
 
 @pytest.mark.parametrize("g", [2, 50, 200])
 def test_sl2z_is_checked_at_the_boundary_only(monkeypatch, g):
-    # products, inverses and the identity of checked matrices have determinant 1, so the Fox walk builds
-    # them unchecked; a check per product made 69 / 30,501 / 482,001 constructions at g = 2 / 50 / 200
+    # products and inverses of checked matrices have determinant 1, so the Fox walk builds them unchecked, and
+    # the identity it starts from is checked once, at import; a check per product made 69 / 30,501 / 482,001
+    # constructions at g = 2 / 50 / 200
     b = _one_unipotent(g)
     text = json.dumps(b.to_dict())
     calls, checked = [], SL2Z.__init__
