@@ -287,7 +287,7 @@ def run(argv: Sequence[str]) -> int:
 
             print(json.dumps(payload, indent=2, sort_keys=True, default=vars), flush=True)  # a record by its fields
         else:
-            print("\n".join(args.text(payload, args)), flush=True)  # a closed stdout raises in main's reach
+            print(*args.text(payload, args), sep="\n", flush=True)  # a closed stdout raises in main's reach
         if payload.get("routes_agree") is False:  # sw0's closed route contradicts its coset route
             print("internal inconsistency: evaluation routes disagree", file=sys.stderr)
             return 2

@@ -59,19 +59,19 @@ def _fox_block(j: int, handles: Sequence[tuple[SL2Z, SL2Z, SL2Z]]) -> tuple[tupl
     reproduces the difference block A - I.  The walk goes handle by handle:
     handle i is the commutator x y x^-1 y^-1 with x = a_i and y = b_i, given
     by the caller as (rho(x)^-1, K, rho(y)), K = rho(x) rho(y)^-1 rho(x)^-1.
-    Two products per handle left-multiply the prefix p = rho(w)^-1: K p is
-    the prefix after x^-1, and rho(y) K p the one after y^-1.  At j's own
-    handle the block is the prefix after x_j^-1 less the one before x_j, so
-    an a-block reads (K - I) p and a b-block (rho(y) K - rho(x)^-1) p: only a
-    b-block makes the prefix after x, and no block the one after y.  The
-    walk stops at j's own handle, the only one where x_j occurs.
+    Before j's own handle, two products per handle left-multiply the prefix
+    p = rho(w)^-1: K p is the prefix after x^-1, and rho(y) K p the one after
+    y^-1.  At j's own handle the block is the prefix after x_j^-1 less the
+    one before x_j, so an a-block reads (K - I) p in one product and a
+    b-block (rho(y) K - rho(x)^-1) p in three; no block makes the prefix
+    after y.  The walk stops at j's own handle, the only one where x_j occurs.
     """
     own, second = divmod(j, 2)  # j's handle, and whether j is its b
     p = _IDENTITY
-    for x_inv, k, y in handles[: own + 1]:
-        before, after_x_inv = p, k * p
-        p = y * after_x_inv
-    minus, plus = (x_inv * before, p) if second else (before, after_x_inv)
+    for _, k, y in handles[:own]:
+        p = y * (k * p)
+    x_inv, k, y = handles[own]
+    minus, plus = (x_inv * p, y * (k * p)) if second else (p, k * p)
     return (plus.a - minus.a, plus.b - minus.b), (plus.c - minus.c, plus.d - minus.d)
 
 

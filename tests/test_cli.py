@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import re
@@ -341,7 +342,7 @@ def _timed_cli(*argv: str, ceiling: float, stdout: int = subprocess.PIPE) -> sub
 @pytest.mark.slow
 def test_classify_and_spectral_at_the_fox_genus_budget_finish_under_the_ceiling(tmp_path):
     g = torusbundles.cli.MAX_FOX_GENUS
-    path = tmp_path / "max_genus.json"  # one unipotent generator, as in ci/smoke.sh
+    path = tmp_path / "max_genus.json"  # one unipotent generator, as in tests/test_scaling.py
     monodromy = [[[1, 1], [0, 1]]] + [[[1, 0], [0, 1]]] * (2 * g - 1)
     path.write_text(json.dumps({"genus": g, "monodromy": monodromy, "euler": [3, 0]}))
     for command in ("classify", "spectral"):
@@ -401,14 +402,14 @@ def test_every_budget_has_an_opt_in_edge_test():
     # reads it as a Name or an Attribute, as test_lazy_api.py counts the readers of a public name
     package = Path(torusbundles.__file__).resolve().parent
     budgets = {
-        target.id
+        target.id: getattr(importlib.import_module(f"torusbundles.{path.stem}"), target.id)
         for path in package.glob("*.py")
         for node in ast.parse(path.read_text()).body
         if isinstance(node, (ast.Assign, ast.AnnAssign))
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
         if isinstance(target, ast.Name) and target.id.startswith("MAX_")
     }
-    assert {"MAX_FOX_GENUS", "MAX_SUBGROUP_ORDER"} <= budgets
+    assert {"MAX_FOX_GENUS", "MAX_SUBGROUP_ORDER"} <= budgets.keys()
     named = {
         node.id if isinstance(node, ast.Name) else node.attr
         for test in ast.walk(ast.parse(Path(__file__).read_text()))
@@ -416,7 +417,11 @@ def test_every_budget_has_an_opt_in_edge_test():
         for node in ast.walk(test)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
-    assert sorted(budgets - named) == []
+    assert sorted(budgets.keys() - named) == []
+    # the edge tests and goldens are each edge's one check: ci/smoke.sh names no budget's value, nor the value one
+    # above it, as a whole word, and so no budget's refusal message either
+    smoke = (Path(__file__).resolve().parent.parent / "ci" / "smoke.sh").read_text()
+    assert sorted(v for value in budgets.values() for v in (value, value + 1) if re.search(rf"\b{v}\b", smoke)) == []
 
 
 class TestDigitLimit:

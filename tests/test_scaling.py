@@ -109,10 +109,10 @@ def test_fox_walk_inverts_each_matrix_once(monkeypatch, g):
     is_symplectic(b)
     assert len(inverses) == 2 * g  # surface_relation_holds works on plain integers, so all come from the build
     # still quadratic: 2g build products (each handle's rho(x) rho(y)^-1, then K = rho(x) rho(y)^-1 rho(x)^-1),
-    # 2 per handle (K p and rho(y) K p) over handles 0..h for both generators of handle h, as each walk stops at
-    # its own handle, and one rho(x)^-1 p per b-block: 2g(g + 1) + g walk products.  Walking all g handles for
-    # every generator made 4g^2 + 3g; bringing the products to linear is the one-walk Fox walk's job
-    assert len(products) == 2 * g * g + 5 * g
+    # 2 per handle (K p and rho(y) K p) over handles 0..h-1 for both generators of handle h, then at the own handle
+    # K p for both and rho(y) K p and rho(x)^-1 p for the b: 2g(g - 1) + 4g walk products.  Walking all g handles
+    # for every generator made 4g^2 + 3g; bringing the products to linear is the one-walk Fox walk's job
+    assert len(products) == 2 * g * g + 4 * g
 
 
 @pytest.mark.slow
