@@ -35,7 +35,7 @@ MAX_LISTED_MODULUS = 10**6
 # weighs 4 so that an order-heavy grid at the budget takes about as long as a genus-heavy one; the opt-in
 # tests/test_cli.py::test_verify_parity_finishes_at_the_grid_budget_and_refuses_the_next_grid times each shape's edge
 MAX_PARITY_WORK = 3 * 10**9
-# classify and spectral walk the Fox relator once per generator up to its own handle, quadratic in the genus; homology
+# classify and spectral walk the Fox relator once per handle up to that handle, quadratic in the genus; homology
 # is linear, any genus goes.  At this genus both must finish under FOX_EDGE_CEILING_S, which the opt-in slow test
 # tests/test_cli.py::test_classify_and_spectral_at_the_fox_genus_budget_finish_under_the_ceiling checks.
 MAX_FOX_GENUS = 1000

@@ -47,41 +47,41 @@ class E2Ranks(Record):
         return b2 == 2 + self.rank_e11
 
 
-# every Fox block's walk starts from this one identity
+# every handle's walk starts from this one identity
 _IDENTITY = SL2Z.identity()
 
 
-def _fox_block(j: int, handles: Sequence[tuple[SL2Z, SL2Z, SL2Z]]) -> tuple[tuple[int, int], ...]:
-    """Coefficient block of the relator boundary at generator j.
+def _fox_handle(h: int, handles: Sequence[tuple[SL2Z, SL2Z, SL2Z]]) -> tuple[tuple[int, int], ...]:
+    """The four D2 rows of handle h: the relator's Fox blocks at a_h, then at b_h.
 
-    Accumulates the Fox derivative d(word)/dx_j with each group element w
-    contributing through rho(w)^-1, sign-normalized so unipotent input
-    reproduces the difference block A - I.  The walk goes handle by handle:
-    handle i is the commutator x y x^-1 y^-1 with x = a_i and y = b_i, given
-    by the caller as (rho(x)^-1, K, rho(y)), K = rho(x) rho(y)^-1 rho(x)^-1.
-    Before j's own handle, two products per handle left-multiply the prefix
-    p = rho(w)^-1: K p is the prefix after x^-1, and rho(y) K p the one after
-    y^-1.  At j's own handle the block is the prefix after x_j^-1 less the
-    one before x_j, so an a-block reads (K - I) p in one product and a
-    b-block (rho(y) K - rho(x)^-1) p in three; no block makes the prefix
-    after y.  The walk stops at j's own handle, the only one where x_j occurs.
+    Each group element w of the Fox derivative d(word)/dx_j contributes
+    through rho(w)^-1, sign-normalized so unipotent input reproduces the
+    difference block A - I.  Handle i is the commutator x y x^-1 y^-1 with
+    x = a_i and y = b_i, given as (rho(x)^-1, K, rho(y)) with
+    K = rho(x) rho(y)^-1 rho(x)^-1.  Each earlier handle left-multiplies the
+    prefix p = rho(w)^-1 twice: K p is the prefix after x^-1, and
+    rho(y) K p the one after y^-1.  a_h and b_h occur only in handle h, so
+    each block is the prefix after its inverse letter less the one before
+    it: K p - p at a_h and rho(y) K p - rho(x)^-1 p at b_h, both blocks
+    read off the one walk to handle h.
     """
-    own, second = divmod(j, 2)  # j's handle, and whether j is its b
     p = _IDENTITY
-    for _, k, y in handles[:own]:
+    for _, k, y in handles[:h]:
         p = y * (k * p)
-    x_inv, k, y = handles[own]
-    minus, plus = (x_inv * p, y * (k * p)) if second else (p, k * p)
-    return (plus.a - minus.a, plus.b - minus.b), (plus.c - minus.c, plus.d - minus.d)
+    x_inv, k, y = handles[h]
+    kp = k * p
+    blocks = ((kp, p), (y * kp, x_inv * p))  # (prefix after the inverse letter, prefix before the letter)
+    return tuple(row for u, v in blocks for row in ((u.a - v.a, u.b - v.b), (u.c - v.c, u.d - v.d)))
 
 
 def fox_boundary_matrices(g: int, monodromy: Sequence[SL2Z]) -> tuple[IntMatrix, IntMatrix]:
     """Boundary matrices (D2: 4g x 2, D1: 2 x 4g) of the twisted complex.
 
     D1's j-th 2x2 block is the generator difference block (the identity minus
-    the inverse image of x_j); D2's j-th block is the relator's Fox
-    derivative with respect to x_j, evaluated as in _fox_block.  D1 @ D2 = 0
-    whenever the monodromy satisfies the surface relation.
+    the inverse image of x_j); D2 stacks the relator's Fox derivatives, two
+    blocks per handle from _fox_handle, with the inverses and products that
+    tests/test_scaling.py::test_fox_walk_inverts_each_matrix_once pins.
+    D1 @ D2 = 0 whenever the monodromy satisfies the surface relation.
     """
     mats = require_monodromy(g, monodromy)  # the Fox matrices are built unchecked from their entries
     invs = [m.inverse() for m in mats]
@@ -90,7 +90,7 @@ def fox_boundary_matrices(g: int, monodromy: Sequence[SL2Z]) -> tuple[IntMatrix,
         tuple(x for inv in invs for x in (-inv.c, 1 - inv.d)),
     )
     handles = tuple((invs[i], mats[i] * invs[i + 1] * invs[i], mats[i + 1]) for i in range(0, 2 * g, 2))
-    d2 = tuple(row for j in range(2 * g) for row in _fox_block(j, handles))
+    d2 = tuple(row for h in range(g) for row in _fox_handle(h, handles))
     return IntMatrix._trusted(d2, 2), IntMatrix._trusted(d1, 4 * g)
 
 

@@ -96,8 +96,8 @@ class SWPolynomial(Record):
         return " + ".join(terms) if terms else "0"
 
 
-# The largest subgroup order cyclic_subgroup enumerates; ResidueSet's closure check is cubic in the order.  sw0 at
-# n = 800 is timed by the opt-in test_cli.py::test_sw0_finishes_at_the_subgroup_order_budget_and_refuses_one_above
+# The largest subgroup order cyclic_subgroup enumerates; ResidueSet's closure check is cubic in the order.  The opt-in
+# tests/test_cli.py::test_sw0_finishes_at_the_subgroup_order_budget_and_refuses_one_above times sw0 at n = 800
 MAX_SUBGROUP_ORDER = 800
 
 
@@ -122,8 +122,8 @@ def cyclic_subgroup(m: int, n: int) -> ResidueSet:
 
 # The largest genus the SW routes take: every value must print under Python's default 4,300-digit limit, which the
 # CLI holds while it renders every SW command.  An sw0 value is at most MAX_SUBGROUP_ORDER * 2^(2g-2), 4,217 digits at
-# g = 7,000 (past 4,300 from g = 7,139).  The opt-in test_swpoly_finishes_at_the_sw_genus_budget_and_refuses_one_above
-# in test_cli.py times swpoly there.
+# g = 7,000 (past 4,300 from g = 7,139).  The opt-in
+# tests/test_cli.py::test_swpoly_finishes_at_the_sw_genus_budget_and_refuses_one_above times swpoly there.
 MAX_SW_GENUS = 7000
 
 

@@ -12,6 +12,11 @@ families below cover all three fixed-lattice ranks:
     the second commutator inverts the first);
   * every slot a conjugated upper-unitriangular matrix (common fixed line).
 
+In all of these the running product of commutators is trivial after every
+handle but at most one in a row.  random_mirrored_monodromy draws tuples
+whose running product stays nontrivial across handles; such tuples fix no
+vector, because the stabilizer of a vector in SL(2,Z) is abelian.
+
 A final global conjugation preserves the relation and spreads the tuples
 over SL(2,Z).
 """
@@ -133,6 +138,27 @@ def random_valid_monodromy(rng: random.Random, g: int, max_len: int = 5) -> tupl
 
     p = random_sl2z(rng, 3)
     return tuple(conjugate(m, p) for m in slots)  # type: ignore[arg-type]
+
+
+def random_mirrored_monodromy(rng: random.Random, g: int, max_len: int = 4) -> tuple[SL2Z, ...]:
+    """Random 2g-tuple satisfying the surface relation whose running commutator product stays nontrivial.
+
+    The handles (a_1, b_1), ..., (a_h, b_h) with h = g // 2, each pair drawn until it does not commute, are
+    followed by their mirror (b_h, a_h), ..., (b_1, a_1); since [b, a] = [a, b]^-1 the second half unwinds the
+    first, so the prefix a Fox walk carries into each handle is a product of up to h commutators rather than one
+    that resets within a handle, as random_valid_monodromy's shapes do.  An odd genus gets one identity handle at
+    a seeded position, and a final common conjugation spreads the tuple over SL(2,Z).
+    """
+    pairs: list[tuple[SL2Z, SL2Z]] = []
+    while len(pairs) < g // 2:
+        a, b = random_sl2z(rng, max_len), random_sl2z(rng, max_len)
+        if a * b != b * a:
+            pairs.append((a, b))
+    handles = pairs + [(b, a) for a, b in reversed(pairs)]
+    if g % 2:
+        handles.insert(rng.randint(0, len(handles)), (IDENTITY, IDENTITY))
+    p = random_sl2z(rng, 3)
+    return tuple(conjugate(m, p) for handle in handles for m in handle)
 
 
 def random_arbitrary_monodromy(rng: random.Random, g: int, max_len: int = 5) -> tuple[SL2Z, ...]:

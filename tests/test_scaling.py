@@ -86,7 +86,7 @@ def test_bundle_is_checked_at_the_boundary_only(monkeypatch, g):
 
 @pytest.mark.parametrize("g", [2, 50, 200])
 def test_fox_walk_inverts_each_matrix_once(monkeypatch, g):
-    # one inverse per monodromy matrix per build, shared by D1 and all 2g walks; inverting at every positive
+    # one inverse per monodromy matrix per build, shared by D1 and all g walks; inverting at every positive
     # letter made 24 / 10,200 / 160,800 inverses per is_symplectic at g = 2 / 50 / 200
     b = _one_unipotent(g)
     inverses, products = [], []
@@ -109,10 +109,11 @@ def test_fox_walk_inverts_each_matrix_once(monkeypatch, g):
     is_symplectic(b)
     assert len(inverses) == 2 * g  # surface_relation_holds works on plain integers, so all come from the build
     # still quadratic: 2g build products (each handle's rho(x) rho(y)^-1, then K = rho(x) rho(y)^-1 rho(x)^-1),
-    # 2 per handle (K p and rho(y) K p) over handles 0..h-1 for both generators of handle h, then at the own handle
-    # K p for both and rho(y) K p and rho(x)^-1 p for the b: 2g(g - 1) + 4g walk products.  Walking all g handles
-    # for every generator made 4g^2 + 3g; bringing the products to linear is the one-walk Fox walk's job
-    assert len(products) == 2 * g * g + 4 * g
+    # then one walk per handle h shared by its a- and b-block: 2 products per handle over handles 0..h-1, and K p,
+    # rho(y) K p and rho(x)^-1 p at h itself.  The sum of 2h + 3 over h = 0..g-1 is g^2 + 2g, so g^2 + 4g in all
+    # (12 / 2,700 / 40,800 at g = 2 / 50 / 200), where a walk per generator made 2g^2 + 4g.  Bringing the products
+    # to linear is the one-walk Fox walk's job
+    assert len(products) == g * g + 4 * g
 
 
 @pytest.mark.slow

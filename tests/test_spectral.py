@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusbundles import (
+    SL2Z,
     TorusBundle,
     ValidationError,
     betti,
@@ -13,6 +14,7 @@ from torusbundles import (
     fixed_sublattice,
     fox_boundary_matrices,
     integer_kernel,
+    is_symplectic,
     rank,
 )
 from torusbundles import IntMatrix, cokernel_structure
@@ -24,6 +26,7 @@ from support import (
     columns,
     conjugate,
     random_arbitrary_monodromy,
+    random_mirrored_monodromy,
     random_sl2z,
     random_valid_monodromy,
     reference_fox_matrices,
@@ -207,6 +210,34 @@ def test_fox_matrices_match_the_reference_walk_above_genus_6(g, valid):
         monodromy = tuple(conjugate(m, p) for m in draw(rng, g))
         d2, d1 = fox_boundary_matrices(g, monodromy)
         assert (d2.entries, d1.entries) == reference_fox_matrices(g, monodromy)
+
+
+def _longest_carried_prefix(monodromy: tuple[SL2Z, ...]) -> int:
+    """The most consecutive handles after which the running product of commutators is not the identity."""
+    longest = run = 0
+    prefix = IDENTITY
+    for x, y in zip(monodromy[::2], monodromy[1::2]):
+        prefix = prefix * x * y * x.inverse() * y.inverse()
+        run = 0 if prefix.is_identity else run + 1
+        longest = max(longest, run)
+    return longest
+
+
+def test_fox_matrices_match_the_reference_walk_on_mirrored_tuples():
+    """random_valid_monodromy's shapes reset the running commutator product within a handle; mirrored tuples carry
+    it across handles, so a walk that mishandles a prefix carried from an earlier handle fails here.  Every draw
+    satisfies the relation, so the spectral oracle runs and must agree with the rule."""
+    rng = random.Random(3619)
+    carried = 0
+    for _ in range(400):
+        g = rng.randint(2, 9)
+        monodromy = random_mirrored_monodromy(rng, g)
+        d2, d1 = fox_boundary_matrices(g, monodromy)
+        assert (d2.entries, d1.entries) == reference_fox_matrices(g, monodromy)
+        euler = (rng.randint(-3, 3), rng.randint(-3, 3))
+        assert is_symplectic(TorusBundle(g, monodromy, euler)).cross_checks.spectral_oracle is True
+        carried += _longest_carried_prefix(monodromy) >= 2
+    assert carried >= 200
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
