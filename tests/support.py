@@ -12,10 +12,10 @@ families below cover all three fixed-lattice ranks:
     the second commutator inverts the first);
   * every slot a conjugated upper-unitriangular matrix (common fixed line).
 
-In all of these the running product of commutators is trivial after every
-handle but at most one in a row.  random_mirrored_monodromy draws tuples
+In all of these the running product of commutators is never nontrivial
+after two handles in a row.  random_mirrored_monodromy draws tuples
 whose running product stays nontrivial across handles; such tuples fix no
-vector, because the stabilizer of a vector in SL(2,Z) is abelian.
+nonzero vector, because the stabilizer of one in SL(2,Z) is abelian.
 
 A final global conjugation preserves the relation and spreads the tuples
 over SL(2,Z).
