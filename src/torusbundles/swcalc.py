@@ -105,8 +105,9 @@ def cyclic_subgroup(m: int, n: int) -> ResidueSet:
     """Subgroup of Z_|n| generated by m mod |n|.
 
     Its cardinality is |n| / gcd(|m|, |n|); n = 0 is rejected, and so is an
-    order above MAX_SUBGROUP_ORDER, whose cubic closure check would run for
-    more than about 3 s.
+    order above MAX_SUBGROUP_ORDER, whose cubic closure check
+    tests/test_cli.py::test_sw0_finishes_at_the_subgroup_order_budget_and_refuses_one_above
+    times at the budget.
     """
     _require_nonzero(n)
     modulus = abs(n)

@@ -161,6 +161,49 @@ def random_mirrored_monodromy(rng: random.Random, g: int, max_len: int = 4) -> t
     return tuple(conjugate(m, p) for handle in handles for m in handle)
 
 
+# A word in the free group on a_1, b_1, ..., a_g, b_g is a tuple of letters (j, e): generator j (a_i = 2i - 2,
+# b_i = 2i - 1) to the power e = 1 or -1.  A move on the base is the images of the 2g generators as words.
+def free_reduce(word: tuple) -> tuple:
+    out: list = []
+    for j, e in word:
+        if out and out[-1] == (j, -e):
+            out.pop()
+        else:
+            out.append((j, e))
+    return tuple(out)
+
+
+def inverse_word(word: tuple) -> tuple:
+    return tuple((j, -e) for j, e in reversed(word))
+
+
+def surface_relator(g: int) -> tuple:
+    """[a_1, b_1] ... [a_g, b_g] with [x, y] = x y x^-1 y^-1, the product surface_relation_holds multiplies out."""
+    return tuple(letter for i in range(g) for letter in ((2 * i, 1), (2 * i + 1, 1), (2 * i, -1), (2 * i + 1, -1)))
+
+
+def substitute(word: tuple, images: list) -> tuple:
+    """The free reduction of word with each generator replaced by its image under a move."""
+    return free_reduce(tuple(x for j, e in word for x in (images[j] if e > 0 else inverse_word(images[j]))))
+
+
+def evaluate(word: tuple, monodromy) -> SL2Z:
+    """The product of the word's letters in monodromy, left to right."""
+    out = IDENTITY
+    for j, e in word:
+        out = out * (monodromy[j] if e > 0 else monodromy[j].inverse())
+    return out
+
+
+def handle_swap(g: int, h: int) -> list:
+    """Swap handles h and h + 1: (a, b, a', b') -> (a', b', C^-1 a C, C^-1 b C) with C = [a', b']."""
+    images = [((j, 1),) for j in range(2 * g)]
+    a, b, a2, b2 = images[2 * h : 2 * h + 4]
+    c = a2 + b2 + inverse_word(a2) + inverse_word(b2)
+    images[2 * h : 2 * h + 4] = [a2, b2, inverse_word(c) + a + c, inverse_word(c) + b + c]
+    return images
+
+
 def random_arbitrary_monodromy(rng: random.Random, g: int, max_len: int = 5) -> tuple[SL2Z, ...]:
     """Unconstrained tuple of 2g random matrices (may violate the surface relation)."""
     return tuple(random_sl2z(rng, max_len) for _ in range(2 * g))
@@ -237,7 +280,7 @@ def reference_fox_matrices(g: int, monodromy) -> tuple[tuple[tuple[int, ...], ..
     letter, a negative one adds the prefix after it.
     """
     mats = [(m.a, m.b, m.c, m.d) for m in monodromy]
-    word = [letter for i in range(g) for letter in ((2 * i, 1), (2 * i + 1, 1), (2 * i, -1), (2 * i + 1, -1))]
+    word = surface_relator(g)
     d2: list[tuple[int, int]] = []
     for j in range(2 * g):
         block, prefix = [0, 0, 0, 0], (1, 0, 0, 1)

@@ -20,7 +20,14 @@ from torusbundles import (
     is_symplectic,
 )
 
-from support import random_valid_bundle, relation_sublattice
+from support import (
+    evaluate,
+    handle_swap,
+    random_valid_bundle,
+    relation_sublattice,
+    substitute,
+    surface_relator,
+)
 
 
 def _answers(b):
@@ -93,8 +100,42 @@ def test_nielsen_moves_on_the_base(drawn):
     assert e2_ranks(b.genus, moved.monodromy).rank_e11 == e2_ranks(b.genus, b.monodromy).rank_e11
 
 
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_bundles())
+def test_handle_swaps_on_the_base(drawn):
+    """Handles h and h + 1 swap places, (A, B, A', B') -> (A', B', C^-1 A C, C^-1 B C) with C = [A', B'].
+
+    The move sends the relator to itself word for word, [a', b'] C^-1 [a, b] C = [a, b] C, which the free-group
+    check below verifies on symbols.  An automorphism of the surface group is induced by a homeomorphism of the base
+    (Dehn-Nielsen-Baer), and since the lifted relator maps to itself word for word, (m, n) is carried unchanged, as
+    under the Nielsen moves.  Unlike those, the swap moves a handle's commutator to another place, past a
+    conjugation: so H1, b2, the verdict, the rule and rank E11 must all stay.
+    """
+    b, rng = drawn
+    relator = surface_relator(b.genus)
+    mats = b.monodromy
+    for _ in range(rng.randint(1, 3)):
+        images = handle_swap(b.genus, rng.randrange(b.genus - 1))
+        assert substitute(relator, images) == relator
+        mats = tuple(evaluate(word, mats) for word in images)
+    moved = TorusBundle(b.genus, mats, b.euler)
+    assert moved.surface_relation_holds()
+    assert relation_sublattice(moved) == relation_sublattice(b)
+    assert _answers(moved) == _answers(b)
+    assert e2_ranks(b.genus, moved.monodromy).rank_e11 == e2_ranks(b.genus, b.monodromy).rank_e11
+
+
+def test_the_free_group_check_refuses_a_move_that_only_conjugates_the_relator():
+    """Swapping two handles without the conjugation sends [a, b][a', b'] to [a', b'][a, b], a conjugate."""
+    images = handle_swap(2, 0)
+    assert substitute(surface_relator(2), images) == surface_relator(2)
+    plain = images[2:] + [((0, 1),), ((1, 1),)]
+    assert substitute(surface_relator(2), plain) != surface_relator(2)
+
+
 test_euler_class_matters_only_modulo_the_relation_span_at_genus_20_to_50 = _at_genus_20_to_50(
     test_euler_class_matters_only_modulo_the_relation_span
 )
 test_reversing_the_fiber_orientation_at_genus_20_to_50 = _at_genus_20_to_50(test_reversing_the_fiber_orientation)
 test_nielsen_moves_on_the_base_at_genus_20_to_50 = _at_genus_20_to_50(test_nielsen_moves_on_the_base)
+test_handle_swaps_on_the_base_at_genus_20_to_50 = _at_genus_20_to_50(test_handle_swaps_on_the_base)
