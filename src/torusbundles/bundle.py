@@ -59,7 +59,8 @@ class SL2Z(Record):
     def __mul__(self, other: "SL2Z") -> "SL2Z":
         if other.__class__ is not SL2Z and not isinstance(other, SL2Z):
             return NotImplemented
-        # built in place, unchecked; tests/test_scaling.py::test_fox_walk_inverts_each_matrix_once counts them
+        # built in place, unchecked; the Fox walk multiplies 4-tuples instead, and
+        # tests/test_scaling.py::test_fox_walk_inverts_each_matrix_once checks that is_symplectic makes none of these
         m = object.__new__(SL2Z)
         m.__dict__.update(
             a=self.a * other.a + self.b * other.c,

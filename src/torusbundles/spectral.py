@@ -47,51 +47,47 @@ class E2Ranks(Record):
         return b2 == 2 + self.rank_e11
 
 
-# every handle's walk starts from this one identity
-_IDENTITY = SL2Z.identity()
-
-
-def _fox_handle(h: int, handles: Sequence[tuple[SL2Z, SL2Z, SL2Z]]) -> tuple[tuple[int, int], ...]:
-    """The four D2 rows of handle h: the relator's Fox blocks at a_h, then at b_h.
-
-    Each group element w of the Fox derivative d(word)/dx_j contributes
-    through rho(w)^-1, sign-normalized so unipotent input reproduces the
-    difference block A - I.  Handle i is the commutator x y x^-1 y^-1 with
-    x = a_i and y = b_i, given as (rho(x)^-1, K, rho(y)) with
-    K = rho(x) rho(y)^-1 rho(x)^-1.  Each earlier handle left-multiplies the
-    prefix p = rho(w)^-1 twice: K p is the prefix after x^-1, and
-    rho(y) K p the one after y^-1.  a_h and b_h occur only in handle h, so
-    each block is the prefix after its inverse letter less the one before
-    it: K p - p at a_h and rho(y) K p - rho(x)^-1 p at b_h, both blocks
-    read off the one walk to handle h.
-    """
-    p = _IDENTITY
-    for _, k, y in handles[:h]:
-        p = y * (k * p)
-    x_inv, k, y = handles[h]
-    kp = k * p
-    blocks = ((kp, p), (y * kp, x_inv * p))  # (prefix after the inverse letter, prefix before the letter)
-    return tuple(row for u, v in blocks for row in ((u.a - v.a, u.b - v.b), (u.c - v.c, u.d - v.d)))
+def _mul(p: tuple[int, int, int, int], q: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The product p q of two 2x2 integer matrices, each a row-major 4-tuple (a, b, c, d)."""
+    a, b, c, d = p
+    w, x, y, z = q
+    return (a * w + b * y, a * x + b * z, c * w + d * y, c * x + d * z)
 
 
 def fox_boundary_matrices(g: int, monodromy: Sequence[SL2Z]) -> tuple[IntMatrix, IntMatrix]:
     """Boundary matrices (D2: 4g x 2, D1: 2 x 4g) of the twisted complex.
 
-    D1's j-th 2x2 block is the generator difference block (the identity minus
-    the inverse image of x_j); D2 stacks the relator's Fox derivatives, two
-    blocks per handle from _fox_handle, with the inverses and products that
+    Each matrix is read once into a row-major 4-tuple and inverted once as
+    (d, -b, -c, a); every product is one _mul, in the counts that
     tests/test_scaling.py::test_fox_walk_inverts_each_matrix_once pins.
-    D1 @ D2 = 0 whenever the monodromy satisfies the surface relation.
+    D1's j-th 2x2 block is the generator difference block (the identity minus
+    the inverse image of x_j).  D2 stacks the relator's Fox derivatives: each
+    group element w of d(word)/dx_j contributes through rho(w)^-1,
+    sign-normalized so unipotent input reproduces A - I.  Handle i is the
+    commutator x y x^-1 y^-1 with x = a_i, y = b_i and
+    K = rho(x) rho(y)^-1 rho(x)^-1.  Each earlier handle left-multiplies the
+    prefix p = rho(w)^-1 twice: K p is the prefix after x^-1, and rho(y) K p
+    the one after y^-1.  a_h and b_h occur only in handle h, so one walk to h
+    gives both of its blocks, each the prefix after the inverse letter less
+    the one before the letter: K p - p at a_h and rho(y) K p - rho(x)^-1 p at
+    b_h.  D1 @ D2 = 0 whenever the monodromy satisfies the surface relation.
     """
-    mats = require_monodromy(g, monodromy)  # the Fox matrices are built unchecked from their entries
-    invs = [m.inverse() for m in mats]
+    mats = [(m.a, m.b, m.c, m.d) for m in require_monodromy(g, monodromy)]  # built unchecked from these entries
+    invs = [(d, -b, -c, a) for a, b, c, d in mats]
     d1 = (
-        tuple(x for inv in invs for x in (1 - inv.a, -inv.b)),
-        tuple(x for inv in invs for x in (-inv.c, 1 - inv.d)),
+        tuple(x for a, b, _, _ in invs for x in (1 - a, -b)),
+        tuple(x for _, _, c, d in invs for x in (-c, 1 - d)),
     )
-    handles = tuple((invs[i], mats[i] * invs[i + 1] * invs[i], mats[i + 1]) for i in range(0, 2 * g, 2))
-    d2 = tuple(row for h in range(g) for row in _fox_handle(h, handles))
-    return IntMatrix._trusted(d2, 2), IntMatrix._trusted(d1, 4 * g)
+    handles = [(invs[i], _mul(_mul(mats[i], invs[i + 1]), invs[i]), mats[i + 1]) for i in range(0, 2 * g, 2)]
+    d2: list[tuple[int, int]] = []
+    for h, (x_inv, k, y) in enumerate(handles):
+        p = (1, 0, 0, 1)
+        for _, k_i, y_i in handles[:h]:
+            p = _mul(y_i, _mul(k_i, p))
+        kp = _mul(k, p)
+        for u, v in ((kp, p), (_mul(y, kp), _mul(x_inv, p))):  # (prefix after the inverse letter, before the letter)
+            d2 += ((u[0] - v[0], u[1] - v[1]), (u[2] - v[2], u[3] - v[3]))
+    return IntMatrix._trusted(tuple(d2), 2), IntMatrix._trusted(d1, 4 * g)
 
 
 def e2_ranks(g: int, monodromy: Sequence[SL2Z]) -> E2Ranks:

@@ -14,18 +14,27 @@ from pathlib import Path
 from torusbundles.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
-# any <path>.py::<name>, so a citation without its tests/ prefix is caught as well as one of a renamed test
-CITATION = re.compile(r"([\w/]*?)(\w+\.py)::(\w+)")
+# any <path>.py::<name> or <path>.py::<Class>::<name>, so a citation without its tests/ prefix is caught as well
+# as one of a renamed test or of a method its class does not define
+CITATION = re.compile(r"([\w/]*?)(\w+\.py)::(\w+(?:::\w+)?)")
 # a number with a time, memory or size unit, a percentage, or a BENCH record's name
 MEASURED = re.compile(r"\d(?:[\d,.]*\d)?\s?(?:ms|s|µs|us|ns|MiB|KiB|GiB|MB|KB|kB|GB)\b|\d%|BENCH_\d+")
 SAMPLE_COMMAND = "$ torusbundles classify bundle.json"
 
 
 def _functions(file: str) -> set[str]:
+    """Every function name a test file defines, and each method also as <Class>::<name>."""
     path = ROOT / file
     if not (file.startswith("tests/") and path.is_file()):
         return set()
-    return {node.name for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.FunctionDef)}
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+    return {node.name for node in nodes if isinstance(node, ast.FunctionDef)} | {
+        f"{node.name}::{method.name}"
+        for node in nodes
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, ast.FunctionDef)
+    }
 
 
 def _code_blocks(text: str) -> list[tuple[str, list[str]]]:

@@ -8,6 +8,7 @@ from torusbundles import (
     CrossChecks,
     E2Ranks,
     InternalInconsistencyError,
+    SL2Z,
     TorusBundle,
     betti,
     e2_ranks,
@@ -18,7 +19,7 @@ from torusbundles import (
     is_symplectic,
     snf,
 )
-from torusbundles import exactla
+from torusbundles import exactla, spectral
 from torusbundles.homology import fiber_relation_matrix
 
 from support import (
@@ -216,6 +217,17 @@ class TestKernelSplit:
         # an empty fixed lattice turns the rule verdict to "no circle action, symplectic"
         replace_everywhere(monkeypatch, integer_kernel, lambda m: zero_matrix(m.cols, 0))
         with pytest.raises(InternalInconsistencyError, match="^betti oracle \\(False\\) disagrees"):
+            is_symplectic(b)
+
+    def test_a_wrong_fox_product_is_caught(self, monkeypatch):
+        lower = SL2Z(1, 0, 1, 1)
+        b = bundle([UPPER, lower, lower, UPPER], euler=(1, 1))
+        assert is_symplectic(b).symplectic
+        product = spectral._mul
+        # a Fox walk that multiplies in the wrong order (q p for p q) reads rank D2 as 1, not 2, on this bundle, so
+        # rank E11 reads 5 against b2 = 6 and the spectral oracle calls the fiber class zero, against the rule
+        monkeypatch.setattr(spectral, "_mul", lambda p, q: product(q, p))
+        with pytest.raises(InternalInconsistencyError, match="^spectral oracle"):
             is_symplectic(b)
 
     def test_a_wrong_two_column_step_is_caught(self, monkeypatch):

@@ -15,6 +15,7 @@ from torusbundles import (
     is_symplectic,
     parse_bundle,
 )
+from torusbundles import spectral
 
 from support import IDENTITY, UPPER, conjugate, relation_sublattice, replace_everywhere, snf_kernel
 
@@ -45,9 +46,9 @@ def test_h1_memory_is_linear_in_genus():
 
 @pytest.mark.parametrize("g", [2, 50, 200])
 def test_sl2z_is_checked_at_the_boundary_only(monkeypatch, g):
-    # products and inverses of checked matrices have determinant 1, so the Fox walk builds them unchecked, and
-    # the identity it starts from is checked once, at import; a check per product made 69 / 30,501 / 482,001
-    # constructions at g = 2 / 50 / 200
+    # the Fox walk multiplies 4-tuples read off the checked matrices, and surface_relation_holds plain integers,
+    # so is_symplectic constructs no SL2Z; a check per product made 69 / 30,501 / 482,001 constructions at
+    # g = 2 / 50 / 200
     b = _one_unipotent(g)
     text = json.dumps(b.to_dict())
     calls, checked = [], SL2Z.__init__
@@ -86,34 +87,44 @@ def test_bundle_is_checked_at_the_boundary_only(monkeypatch, g):
 
 @pytest.mark.parametrize("g", [2, 50, 200])
 def test_fox_walk_inverts_each_matrix_once(monkeypatch, g):
-    # one inverse per monodromy matrix per build, shared by D1 and all g walks; inverting at every positive
+    # the build reads each monodromy matrix once into a row-major 4-tuple and writes its inverse as the tuple
+    # (d, -b, -c, a), shared by D1 and all g walks, so no SL2Z is inverted or multiplied; inverting at every positive
     # letter made 24 / 10,200 / 160,800 inverses per is_symplectic at g = 2 / 50 / 200
     b = _one_unipotent(g)
-    inverses, products = [], []
-    inverse, product = SL2Z.inverse, SL2Z.__mul__
+    products, sl2z_calls = [], []
+    product, inverse, sl2z_product = spectral._mul, SL2Z.inverse, SL2Z.__mul__
+
+    def counted_product(p, q):
+        products.append(q)
+        return product(p, q)
 
     def counted_inverse(self):
-        inverses.append(self)
+        sl2z_calls.append("inverse")
         return inverse(self)
 
-    def counted_product(self, other):
-        products.append(other)
-        return product(self, other)
+    def counted_sl2z_product(self, other):
+        sl2z_calls.append("__mul__")
+        return sl2z_product(self, other)
 
+    monkeypatch.setattr(spectral, "_mul", counted_product)
     monkeypatch.setattr(SL2Z, "inverse", counted_inverse)
-    monkeypatch.setattr(SL2Z, "__mul__", counted_product)
-    fox_boundary_matrices(g, b.monodromy)
-    assert len(inverses) == 2 * g
-    inverses.clear()
-    products.clear()
+    monkeypatch.setattr(SL2Z, "__mul__", counted_sl2z_product)
     is_symplectic(b)
-    assert len(inverses) == 2 * g  # surface_relation_holds works on plain integers, so all come from the build
+    assert sl2z_calls == []  # surface_relation_holds works on plain integers, and the build on 4-tuples
     # still quadratic: 2g build products (each handle's rho(x) rho(y)^-1, then K = rho(x) rho(y)^-1 rho(x)^-1),
     # then one walk per handle h shared by its a- and b-block: 2 products per handle over handles 0..h-1, and K p,
     # rho(y) K p and rho(x)^-1 p at h itself.  The sum of 2h + 3 over h = 0..g-1 is g^2 + 2g, so g^2 + 4g in all
     # (12 / 2,700 / 40,800 at g = 2 / 50 / 200), where a walk per generator made 2g^2 + 4g.  Bringing the products
     # to linear is the one-walk Fox walk's job
     assert len(products) == g * g + 4 * g
+
+
+def test_fox_matrices_memory_is_linear_in_genus():
+    # D2's 4g rows and D1's two rows of 4g entries grow 4-fold from g = 50 to 200; the walk keeps one prefix at a time
+    def fox(b):
+        return fox_boundary_matrices(b.genus, b.monodromy)
+
+    assert _peak_bytes(_one_unipotent(200), fox) / _peak_bytes(_one_unipotent(50), fox) <= 4.5
 
 
 @pytest.mark.slow
