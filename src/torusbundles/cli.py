@@ -35,9 +35,9 @@ MAX_LISTED_MODULUS = 10**6
 # weighs 4 so that an order-heavy grid at the budget takes about as long as a genus-heavy one; the opt-in
 # tests/test_cli.py::test_verify_parity_finishes_at_the_grid_budget_and_refuses_the_next_grid times each shape's edge
 MAX_PARITY_WORK = 3 * 10**9
-# classify and spectral walk the Fox relator once per handle up to that handle, quadratic in the genus; homology
-# is linear, any genus goes.  At this genus both must finish under FOX_EDGE_CEILING_S, which the opt-in slow test
-# tests/test_cli.py::test_classify_and_spectral_at_the_fox_genus_budget_finish_under_the_ceiling checks.
+# classify and spectral walk the Fox relator once, but its entries can grow with the genus, so this stays an input
+# bound until a work meter re-fits it; homology takes any genus.  Both must finish at this genus under
+# FOX_EDGE_CEILING_S (tests/test_cli.py::test_classify_and_spectral_at_the_fox_genus_budget_finish_under_the_ceiling).
 MAX_FOX_GENUS = 1000
 # a cross-check flag of the classification; None means the spectral oracle did not apply
 _AGREE = {True: "agree", False: "disagree", None: "skipped (monodromy violates the surface relation)"}

@@ -65,12 +65,12 @@ def fox_boundary_matrices(g: int, monodromy: Sequence[SL2Z]) -> tuple[IntMatrix,
     group element w of d(word)/dx_j contributes through rho(w)^-1,
     sign-normalized so unipotent input reproduces A - I.  Handle i is the
     commutator x y x^-1 y^-1 with x = a_i, y = b_i and
-    K = rho(x) rho(y)^-1 rho(x)^-1.  Each earlier handle left-multiplies the
-    prefix p = rho(w)^-1 twice: K p is the prefix after x^-1, and rho(y) K p
-    the one after y^-1.  a_h and b_h occur only in handle h, so one walk to h
-    gives both of its blocks, each the prefix after the inverse letter less
-    the one before the letter: K p - p at a_h and rho(y) K p - rho(x)^-1 p at
-    b_h.  D1 @ D2 = 0 whenever the monodromy satisfies the surface relation.
+    K = rho(x) rho(y)^-1 rho(x)^-1.  One walk carries the prefix p = rho(w)^-1
+    across the handles: K p is the prefix after x^-1, and rho(y) K p the one
+    after y^-1, which the next handle starts from.  a_i and b_i occur only in
+    handle i, so both blocks are read there, each the prefix after the inverse
+    letter less the one before the letter: K p - p at a_i and
+    rho(y) K p - rho(x)^-1 p at b_i.  D1 @ D2 = 0 whenever the relation holds.
     """
     mats = [(m.a, m.b, m.c, m.d) for m in require_monodromy(g, monodromy)]  # built unchecked from these entries
     invs = [(d, -b, -c, a) for a, b, c, d in mats]
@@ -78,15 +78,14 @@ def fox_boundary_matrices(g: int, monodromy: Sequence[SL2Z]) -> tuple[IntMatrix,
         tuple(x for a, b, _, _ in invs for x in (1 - a, -b)),
         tuple(x for _, _, c, d in invs for x in (-c, 1 - d)),
     )
-    handles = [(invs[i], _mul(_mul(mats[i], invs[i + 1]), invs[i]), mats[i + 1]) for i in range(0, 2 * g, 2)]
     d2: list[tuple[int, int]] = []
-    for h, (x_inv, k, y) in enumerate(handles):
-        p = (1, 0, 0, 1)
-        for _, k_i, y_i in handles[:h]:
-            p = _mul(y_i, _mul(k_i, p))
-        kp = _mul(k, p)
-        for u, v in ((kp, p), (_mul(y, kp), _mul(x_inv, p))):  # (prefix after the inverse letter, before the letter)
+    p = (1, 0, 0, 1)
+    for i in range(0, 2 * g, 2):
+        kp = _mul(_mul(_mul(mats[i], invs[i + 1]), invs[i]), p)
+        ykp = _mul(mats[i + 1], kp)
+        for u, v in ((kp, p), (ykp, _mul(invs[i], p))):  # (prefix after the inverse letter, before the letter)
             d2 += ((u[0] - v[0], u[1] - v[1]), (u[2] - v[2], u[3] - v[3]))
+        p = ykp
     return IntMatrix._trusted(tuple(d2), 2), IntMatrix._trusted(d1, 4 * g)
 
 

@@ -295,11 +295,11 @@ class TestInputErrors:
         assert len(fox) == 1
 
 
-# classify and spectral at MAX_FOX_GENUS each took 1.4-3.3 s as a process, median 2.0 s over 50 runs, on a 2-vCPU
-# Xeon host with Python 3.11.7.  The ceiling is three times the median: the slowest run is under it, and 24 of 26 runs
-# of a Fox walk made four times slower (5.3-9.8 s, median 6.6 s) are over it.  The goldens error-*-huge-genus hold the
+# classify and spectral at MAX_FOX_GENUS each took 0.064-0.111 s as a process, median 0.069 s over 40 runs, on a
+# 2-vCPU Xeon host with Python 3.11.7.  The ceiling is three times the median: the slowest run is under it, and all 40
+# runs with a Fox walk per handle (0.22-0.40 s, median 0.24 s) are over it.  The goldens error-*-huge-genus hold the
 # refusal above it
-FOX_EDGE_CEILING_S = 3 * 2.0
+FOX_EDGE_CEILING_S = 3 * 0.069
 # sw0 --genus 3 --m 1 --n 800, at MAX_SUBGROUP_ORDER (subgroup orders 800 and 400), took 3.3-4.1 s as a process,
 # median 3.5 s over 16 runs, on the same host; the ceiling is three times the median
 SUBGROUP_EDGE_CEILING_S = 3 * 3.5

@@ -1,6 +1,8 @@
-"""How classification scales with the genus, measured in bytes and counts rather than seconds."""
+"""How classification scales with the genus, in bytes and counts; only the opt-in g = 10^4 test bounds seconds."""
 
+import gc
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -26,12 +28,31 @@ def _one_unipotent(g):
 
 def _peak_bytes(b, fn=fixed_sublattice):
     fn(b)  # once untraced, so the traced call allocates only what the bundle's size needs
+    # a full collection empties the tuple free lists that the untraced call filled; up to 2,000 tuples of each size
+    # taken from them went uncounted, so a small genus read too little (fox_boundary_matrices 418 KB, not 674 KB, at
+    # g = 10^3) and a ratio from it too much
+    gc.collect()
     tracemalloc.start()
     try:
         fn(b)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _fox(b):
+    return fox_boundary_matrices(b.genus, b.monodromy)
+
+
+def _counted_products(monkeypatch):
+    products, product = [], spectral._mul
+
+    def counted_product(p, q):
+        products.append(q)
+        return product(p, q)
+
+    monkeypatch.setattr(spectral, "_mul", counted_product)
+    return products
 
 
 def test_fixed_lattice_memory_is_linear_in_genus():
@@ -88,15 +109,11 @@ def test_bundle_is_checked_at_the_boundary_only(monkeypatch, g):
 @pytest.mark.parametrize("g", [2, 50, 200])
 def test_fox_walk_inverts_each_matrix_once(monkeypatch, g):
     # the build reads each monodromy matrix once into a row-major 4-tuple and writes its inverse as the tuple
-    # (d, -b, -c, a), shared by D1 and all g walks, so no SL2Z is inverted or multiplied; inverting at every positive
+    # (d, -b, -c, a), shared by D1 and the walk, so no SL2Z is inverted or multiplied; inverting at every positive
     # letter made 24 / 10,200 / 160,800 inverses per is_symplectic at g = 2 / 50 / 200
     b = _one_unipotent(g)
-    products, sl2z_calls = [], []
-    product, inverse, sl2z_product = spectral._mul, SL2Z.inverse, SL2Z.__mul__
-
-    def counted_product(p, q):
-        products.append(q)
-        return product(p, q)
+    products, sl2z_calls = _counted_products(monkeypatch), []
+    inverse, sl2z_product = SL2Z.inverse, SL2Z.__mul__
 
     def counted_inverse(self):
         sl2z_calls.append("inverse")
@@ -106,25 +123,32 @@ def test_fox_walk_inverts_each_matrix_once(monkeypatch, g):
         sl2z_calls.append("__mul__")
         return sl2z_product(self, other)
 
-    monkeypatch.setattr(spectral, "_mul", counted_product)
     monkeypatch.setattr(SL2Z, "inverse", counted_inverse)
     monkeypatch.setattr(SL2Z, "__mul__", counted_sl2z_product)
     is_symplectic(b)
     assert sl2z_calls == []  # surface_relation_holds works on plain integers, and the build on 4-tuples
-    # still quadratic: 2g build products (each handle's rho(x) rho(y)^-1, then K = rho(x) rho(y)^-1 rho(x)^-1),
-    # then one walk per handle h shared by its a- and b-block: 2 products per handle over handles 0..h-1, and K p,
-    # rho(y) K p and rho(x)^-1 p at h itself.  The sum of 2h + 3 over h = 0..g-1 is g^2 + 2g, so g^2 + 4g in all
-    # (12 / 2,700 / 40,800 at g = 2 / 50 / 200), where a walk per generator made 2g^2 + 4g.  Bringing the products
-    # to linear is the one-walk Fox walk's job
-    assert len(products) == g * g + 4 * g
+    # one walk: per handle 2 products for K = rho(x) rho(y)^-1 rho(x)^-1 and 3 to cross it (K p, rho(y) K p and
+    # rho(x)^-1 p), so 5g in all (10 / 250 / 1,000 at g = 2 / 50 / 200), where a walk per handle made g^2 + 4g
+    assert len(products) == 5 * g
 
 
 def test_fox_matrices_memory_is_linear_in_genus():
     # D2's 4g rows and D1's two rows of 4g entries grow 4-fold from g = 50 to 200; the walk keeps one prefix at a time
-    def fox(b):
-        return fox_boundary_matrices(b.genus, b.monodromy)
+    assert _peak_bytes(_one_unipotent(200), _fox) / _peak_bytes(_one_unipotent(50), _fox) <= 4.5
 
-    assert _peak_bytes(_one_unipotent(200), fox) / _peak_bytes(_one_unipotent(50), fox) <= 4.5
+
+@pytest.mark.slow
+def test_fox_walk_is_linear_at_genus_10000(monkeypatch):
+    # is_symplectic took 0.11 s on a 2-vCPU Xeon host with Python 3.11.7, and 18.2 s with a walk per handle;
+    # the Fox build's peak, D2's 4g rows and D1's 4g columns, grows tenfold from g = 10^3
+    b = _one_unipotent(10**4)
+    start = time.perf_counter()
+    is_symplectic(b)
+    assert time.perf_counter() - start < 1.0
+    assert _peak_bytes(b, _fox) / _peak_bytes(_one_unipotent(10**3), _fox) <= 11
+    products = _counted_products(monkeypatch)
+    is_symplectic(b)
+    assert len(products) == 5 * 10**4
 
 
 @pytest.mark.slow
